@@ -35,10 +35,9 @@ void RunningStats::merge(const RunningStats& other) noexcept {
   const auto n2 = static_cast<double>(other.n_);
   const double delta = other.mean_ - mean_;
   const double total = n1 + n2;
-  // SPLICER_LINT_ALLOW(float-order): every caller merges in a fixed index
-  // order — shard results are folded 0..N-1 and trial stats are folded in
-  // trial order — so this Chan-style combine sees operands in the same
-  // sequence on every run and the gates see identical bits.
+  // SPLICER_LINT_ALLOW(float-order): callers fold operands in a fixed index
+  // order, so this Chan-style combine sees them in the same sequence on
+  // every run and the gates see identical bits.
   mean_ += delta * n2 / total;
   m2_ += other.m2_ + delta * delta * n1 * n2 / total;
   n_ += other.n_;

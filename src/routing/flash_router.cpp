@@ -16,7 +16,7 @@ void FlashRouter::on_payment(Engine& engine, const pcn::Payment& payment) {
   progress.retries_left =
       progress.elephant ? config_.elephant_retries : config_.mice_retries;
   if (progress.elephant) {
-    send_elephant(engine, payment, payment.value, progress);
+    send_elephant(engine, payment, payment.value);
   } else {
     send_mice(engine, payment, payment.value, progress);
   }
@@ -64,7 +64,7 @@ void FlashRouter::send_mice(Engine& engine, const pcn::Payment& payment,
 }
 
 void FlashRouter::send_elephant(Engine& engine, const pcn::Payment& payment,
-                                Amount value, PaymentProgress& progress) {
+                                Amount value) {
   // Probe balances (stale up to probe_staleness_s: probes take a round
   // trip, so concurrent elephants plan against the same snapshot).
   if (snapshot_time_ < 0.0 ||
@@ -129,7 +129,12 @@ void FlashRouter::send_elephant(Engine& engine, const pcn::Payment& payment,
     tu.path = flow.paths[i].path;
     tu.hop_amounts.assign(tu.path.edges.size(), shares[i]);
     tu.deadline = payment.deadline;
-    ++progress.outstanding;
+    // Looked up per split, never held across send_tu: a split that fails
+    // synchronously can resolve the payment, and on_payment_resolved then
+    // erases its progress entry while later splits are still to be sent.
+    if (const auto it = progress_.find(payment.id); it != progress_.end()) {
+      ++it->second.outstanding;
+    }
     engine.send_tu(std::move(tu));
   }
 }
@@ -169,7 +174,7 @@ void FlashRouter::on_tu_failed(Engine& engine, const TransactionUnit& tu,
   // payment and (retention off) evict the state this reference points into.
   const pcn::Payment payment = state->payment;
   if (progress.elephant) {
-    send_elephant(engine, payment, retry_value, progress);
+    send_elephant(engine, payment, retry_value);
   } else {
     send_mice(engine, payment, retry_value, progress);
   }

@@ -60,8 +60,7 @@ class FlashRouter final : public Router {
     std::size_t outstanding = 0;
   };
 
-  void send_elephant(Engine& engine, const pcn::Payment& payment, Amount value,
-                     PaymentProgress& progress);
+  void send_elephant(Engine& engine, const pcn::Payment& payment, Amount value);
   void send_mice(Engine& engine, const pcn::Payment& payment, Amount value,
                  PaymentProgress& progress);
   const std::vector<graph::Path>& mice_paths(Engine& engine, NodeId from,

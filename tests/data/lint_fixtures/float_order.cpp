@@ -1,16 +1,16 @@
 // float-order fixture: the floating accumulation lives in a helper reached
 // from merge(); the annotated twin pins the sanctioned shape. Pinned by
 // LintInterproc.FloatOrder*.
-struct ShardStats {
+struct TrialStats {
   double mean_ = 0.0;
   long count_ = 0;
-  void merge(const ShardStats& other);
-  void fold_in(const ShardStats& other);
+  void merge(const TrialStats& other);
+  void fold_in(const TrialStats& other);
 };
 
-void ShardStats::merge(const ShardStats& other) { fold_in(other); }
+void TrialStats::merge(const TrialStats& other) { fold_in(other); }
 
-void ShardStats::fold_in(const ShardStats& other) {
+void TrialStats::fold_in(const TrialStats& other) {
   const double weight = other.mean_;
   mean_ += weight;
   count_ += other.count_;
@@ -20,8 +20,8 @@ struct OkStats {
   double sum_ = 0.0;
   void merge(const OkStats& other) {
     const double incoming = other.sum_;
-    // SPLICER_LINT_ALLOW(float-order): shards are folded in ascending
-    // shard index on the coordinator thread; the order never varies.
+    // SPLICER_LINT_ALLOW(float-order): trials are folded in ascending
+    // trial index on the calling thread; the order never varies.
     sum_ += incoming;
   }
 };

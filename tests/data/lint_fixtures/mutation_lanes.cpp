@@ -1,7 +1,7 @@
 // splicer-lint fixture: writer-lanes — Engine hostile-world mutation state
 // touched outside the engine core. The staged-event slots and depth
-// counters make mutation replay idempotent and bit-identical across shard
-// counts; an outside writer could double-apply a close or strand a depth.
+// counters make mutation replay idempotent; an outside writer could
+// double-apply a close or strand a depth.
 struct Meddler {
   void poke() {
     staged_mutations_[0].reset();

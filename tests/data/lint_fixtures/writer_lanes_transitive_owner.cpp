@@ -1,13 +1,13 @@
 // writer-lanes-transitive fixture (owner half, linted as
-// src/sim/sharded_scheduler.cpp): helpers inside the owning component may
-// touch lanes_; post() is a sanctioned entry API. Pinned by
+// src/routing/rate_protocol.cpp): helpers inside the owning component may
+// touch active_pairs_; on_timer() is a sanctioned entry API. Pinned by
 // LintInterproc.WriterLanesTransitive*.
-struct ShardedScheduler {
-  void clear_lane(int lane);
-  void post(int lane);
-  int lanes_[8];
+struct RateRouterBase {
+  void clear_active(int pair);
+  void on_timer(int pair);
+  int active_pairs_[8];
 };
 
-void ShardedScheduler::clear_lane(int lane) { lanes_[lane] = 0; }
+void RateRouterBase::clear_active(int pair) { active_pairs_[pair] = 0; }
 
-void ShardedScheduler::post(int lane) { lanes_[lane] += 1; }
+void RateRouterBase::on_timer(int pair) { active_pairs_[pair] += 1; }

@@ -1,20 +1,20 @@
 // writer-lanes-transitive fixture (user half): calling a non-sanctioned
-// helper that writes lanes_ makes this caller a writer — flagged at the
-// call site even though this file never names lanes_ at all. post() is the
-// legal crossing, and the annotated call pins a reasoned exception. Pinned
-// by LintInterproc.WriterLanesTransitive*.
-struct ShardedScheduler;
+// helper that writes active_pairs_ makes this caller a writer — flagged at
+// the call site even though this file never names active_pairs_ at all.
+// on_timer() is the legal crossing, and the annotated call pins a reasoned
+// exception. Pinned by LintInterproc.WriterLanesTransitive*.
+struct RateRouterBase;
 
-void bad_reset(ShardedScheduler& sched) {
-  sched.clear_lane(3);
+void bad_reset(RateRouterBase& router) {
+  router.clear_active(3);
 }
 
-void good_post(ShardedScheduler& sched) {
-  sched.post(3);
+void good_tick(RateRouterBase& router) {
+  router.on_timer(3);
 }
 
-void excused_reset(ShardedScheduler& sched) {
-  // SPLICER_LINT_ALLOW(writer-lanes-transitive): test-only teardown drain;
-  // the simulation is single-threaded here and no concurrent writer exists.
-  sched.clear_lane(4);
+void excused_reset(RateRouterBase& router) {
+  // SPLICER_LINT_ALLOW(writer-lanes-transitive): test-only teardown; the
+  // simulation is single-threaded here and no concurrent writer exists.
+  router.clear_active(4);
 }

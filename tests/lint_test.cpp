@@ -139,15 +139,6 @@ TEST(LintSlabAlias, ScopedToRoutingDir) {
   EXPECT_TRUE(lint_source("src/common/fixture.cpp", src).empty());
 }
 
-TEST(LintWriterLanes, FlagsMailboxStateOutsideOwner) {
-  const std::string src = read_fixture("writer_lanes.cpp");
-  const auto findings = lint_source("src/sim/fixture.cpp", src);
-  const std::vector<LineRule> expected = {{5, "writer-lanes"},
-                                          {6, "writer-lanes"},
-                                          {7, "writer-lanes"}};
-  EXPECT_EQ(line_rules(findings), expected);
-}
-
 TEST(LintWriterLanes, FlagsRateRouterActiveSetOutsideOwner) {
   const std::string src = read_fixture("active_list.cpp");
   const auto findings = lint_source("src/routing/fixture.cpp", src);
@@ -169,12 +160,6 @@ TEST(LintWriterLanes, FlagsMutationStateOutsideOwner) {
 }
 
 TEST(LintWriterLanes, OwningComponentIsExempt) {
-  EXPECT_TRUE(lint_source("src/sim/sharded_scheduler.cpp",
-                          "void f() { lanes_[0].clear(); }\n")
-                  .empty());
-  EXPECT_TRUE(lint_source("src/routing/engine.cpp",
-                          "void f() { handoff_inbox_.clear(); }\n")
-                  .empty());
   EXPECT_TRUE(lint_source("src/routing/rate_protocol.cpp",
                           "void f() { active_pairs_.clear(); }\n")
                   .empty());
@@ -203,8 +188,8 @@ TEST(LintClean, CleanFileHasNoFindings) {
 
 TEST(LintLiterals, BannedTokensInsideStringsAndCommentsDoNotMatch) {
   const std::string src =
-      "// rand() and lanes_ and std::function<void()> in a comment\n"
-      "const char* doc = \"getenv system_clock lanes_\";\n"
+      "// rand() and active_pairs_ and std::function<void()> in a comment\n"
+      "const char* doc = \"getenv system_clock active_pairs_\";\n"
       "const char* raw = R\"(std::unordered_map<int, int> ghost_;)\";\n";
   EXPECT_TRUE(lint_source("src/sim/fixture.cpp", src).empty());
 }
@@ -227,7 +212,7 @@ TEST(LintRepo, TreeIsClean) {
 
 TEST(LintScrubber, RawStringWithEncodingPrefixAndDelimiter) {
   const std::string src =
-      "const char* s = u8R\"delim(rand() lanes_ )quote\" still inside)delim\";"
+      "const char* s = u8R\"delim(rand() active_pairs_ )quote\" still inside)delim\";"
       " int x = 0;\n";
   const auto lines = scrub_source(src);
   ASSERT_FALSE(lines.empty());
@@ -243,11 +228,11 @@ TEST(LintScrubber, UnterminatedRawStringAtEofScrubsToEnd) {
   const std::string src =
       "const char* s = R\"(never closed\n"
       "rand();\n"
-      "lanes_.clear();\n";
+      "active_pairs_.clear();\n";
   const auto lines = scrub_source(src);
   ASSERT_GE(lines.size(), 3u);
   EXPECT_EQ(lines[1].code.find("rand"), std::string::npos);
-  EXPECT_EQ(lines[2].code.find("lanes_"), std::string::npos);
+  EXPECT_EQ(lines[2].code.find("active_pairs_"), std::string::npos);
   EXPECT_TRUE(lint_source("src/sim/fixture.cpp", src).empty());
 }
 
@@ -421,23 +406,23 @@ TEST(LintInterproc, FloatOrderFlagsHelperReachedFromMergeHonorsAllow) {
   EXPECT_EQ(line_rules(findings), expected);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_NE(
-      findings[0].message.find("ShardStats::merge -> ShardStats::fold_in"),
+      findings[0].message.find("TrialStats::merge -> TrialStats::fold_in"),
       std::string::npos)
       << findings[0].message;
 }
 
 TEST(LintInterproc, WriterLanesTransitiveFlagsCallSiteOutsideOwner) {
   const auto findings = lint_fixture_files(
-      {{"src/sim/sharded_scheduler.cpp", "writer_lanes_transitive_owner.cpp"},
-       {"src/sim/shard_user.cpp", "writer_lanes_transitive_user.cpp"}});
-  // bad_reset's call is flagged even though shard_user.cpp never names
-  // lanes_ (the token rule is blind here); good_post goes through the
-  // sanctioned API and excused_reset carries a reasoned allow.
+      {{"src/routing/rate_protocol.cpp", "writer_lanes_transitive_owner.cpp"},
+       {"src/routing/rate_user.cpp", "writer_lanes_transitive_user.cpp"}});
+  // bad_reset's call is flagged even though rate_user.cpp never names
+  // active_pairs_ (the token rule is blind here); good_tick goes through
+  // the sanctioned API and excused_reset carries a reasoned allow.
   ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].file, "src/sim/shard_user.cpp");
+  EXPECT_EQ(findings[0].file, "src/routing/rate_user.cpp");
   EXPECT_EQ(findings[0].line, 9);
   EXPECT_EQ(findings[0].rule, "writer-lanes-transitive");
-  EXPECT_NE(findings[0].message.find("ShardedScheduler::clear_lane"),
+  EXPECT_NE(findings[0].message.find("RateRouterBase::clear_active"),
             std::string::npos);
 }
 

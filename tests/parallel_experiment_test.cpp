@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 namespace splicer::routing {
@@ -40,6 +41,20 @@ void expect_identical(const EngineMetrics& a, const EngineMetrics& b) {
   EXPECT_EQ(a.messages.sync_messages, b.messages.sync_messages);
   EXPECT_EQ(a.messages.control_messages, b.messages.control_messages);
   EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
+  EXPECT_EQ(a.scheduler_events, b.scheduler_events);
+  EXPECT_EQ(a.settlement_flushes, b.settlement_flushes);
+  EXPECT_EQ(a.settlements_batched, b.settlements_batched);
+  EXPECT_EQ(a.peak_payment_buffer, b.peak_payment_buffer);
+  EXPECT_EQ(a.peak_resident_states, b.peak_resident_states);
+  EXPECT_EQ(a.states_evicted, b.states_evicted);
+  EXPECT_EQ(a.tus_per_payment_stats.sum(), b.tus_per_payment_stats.sum());
+  EXPECT_EQ(a.failed_delivered_value, b.failed_delivered_value);
+  EXPECT_EQ(a.price_updates_skipped, b.price_updates_skipped);
+  EXPECT_EQ(a.probe_sums_reused, b.probe_sums_reused);
+  EXPECT_EQ(a.active_pairs_peak, b.active_pairs_peak);
+  EXPECT_EQ(a.mutation_events, b.mutation_events);
+  EXPECT_EQ(a.resident_tus_at_end, b.resident_tus_at_end);
+  EXPECT_EQ(a.wedged_queue_value, b.wedged_queue_value);
 }
 
 TEST(DeriveSeed, StableAndComponentSensitive) {
@@ -108,6 +123,43 @@ TEST(ParallelRunner, OneThreadAndEightThreadsAreBitIdentical) {
       EXPECT_EQ(a[s][t].tsr.mean(), b[s][t].tsr.mean());
       EXPECT_EQ(a[s][t].throughput.mean(), b[s][t].throughput.mean());
       EXPECT_EQ(a[s][t].messages.sum(), b[s][t].messages.sum());
+    }
+  }
+}
+
+TEST(ParallelRunner, OneThreadAndFourThreadsAreBitIdenticalUnderMutations) {
+  // The hostile, batched corner of the determinism contract: fault, churn
+  // and fee-policy mutators rewrite the topology mid-run and settlement is
+  // batched per 10 ms epoch, yet the thread count may change only which
+  // worker runs a simulation, never what it computes.
+  SchemeConfig hostile;
+  hostile.engine.settlement_epoch_s = 0.010;
+  hostile.engine.hostile.fault_rate = 1.5;
+  hostile.engine.hostile.churn_rate = 1.0;
+  hostile.engine.hostile.fee_policy_rate = 0.5;
+  std::vector<SchemeTask> tasks;
+  for (const auto scheme :
+       {Scheme::kSplicer, Scheme::kSpider, Scheme::kFlash, Scheme::kLandmark,
+        Scheme::kA2l, Scheme::kShortestPath}) {
+    tasks.push_back({scheme, hostile, {}});
+  }
+
+  ParallelRunner single({/*threads=*/1, /*trials=*/2});
+  ParallelRunner wide({/*threads=*/4, /*trials=*/2});
+  const auto a = single.run({tiny_config()}, tasks).front();
+  const auto b = wide.run({tiny_config()}, tasks).front();
+
+  ASSERT_EQ(a.size(), tasks.size());
+  ASSERT_EQ(b.size(), tasks.size());
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    ASSERT_EQ(a[t].trials.size(), 2u);
+    ASSERT_EQ(b[t].trials.size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k) {
+      SCOPED_TRACE(std::string(tasks[t].name()) + " trial " +
+                   std::to_string(k));
+      EXPECT_GT(a[t].trials[k].mutation_events, 0u);
+      EXPECT_GT(a[t].trials[k].settlement_flushes, 0u);
+      expect_identical(a[t].trials[k], b[t].trials[k]);
     }
   }
 }

@@ -13,7 +13,6 @@
 
 #include "routing/engine.h"
 #include "routing/experiment.h"
-#include "routing/sharded_engine.h"
 #include "routing/spider_router.h"
 #include "routing/splicer_router.h"
 
@@ -125,8 +124,6 @@ std::vector<double> metric_signature(const EngineMetrics& m) {
       static_cast<double>(m.peak_payment_buffer),
       static_cast<double>(m.peak_resident_states),
       static_cast<double>(m.states_evicted),
-      static_cast<double>(m.cross_shard_messages),
-      static_cast<double>(m.shard_barriers),
       static_cast<double>(m.completion_delay_stats.count()),
       m.completion_delay_stats.sum(),
       m.completion_delay_stats.min(),
@@ -195,7 +192,7 @@ TEST(RateIncrementalTick, SpiderDirectParity) {
   expect_runs_identical(incremental, full);
 }
 
-// ---- scenario-level parity (full pipeline, three schemes, shards) ----------
+// ---- scenario-level parity (full pipeline, three schemes) ------------------
 
 Scenario small_scenario() {
   ScenarioConfig config;
@@ -232,29 +229,6 @@ TEST(RateIncrementalTick, SchemeParityAcrossSettlementModes) {
         EXPECT_GT(incremental.active_pairs_peak, 0u) << to_string(scheme);
       }
     }
-  }
-}
-
-TEST(RateIncrementalTick, ShardedParity) {
-  // Each shard's engine keeps its own dirty list and router, so the tick
-  // modes must agree shard count by shard count (sharded runs follow a
-  // barrier grid of their own and are not compared against sequential
-  // here — that contract has its own suite).
-  const auto scenario = small_scenario();
-  for (const std::uint32_t shards : {1u, 4u}) {
-    ShardedEngineConfig sharded;
-    sharded.shards = shards;
-    EngineMetrics by_mode[2];
-    for (const bool full : {false, true}) {
-      SchemeConfig config;
-      config.engine.full_recompute_ticks = full;
-      by_mode[full ? 1 : 0] =
-          run_scheme_sharded(scenario, Scheme::kSplicer, config, sharded);
-    }
-    EXPECT_EQ(metric_signature(by_mode[0]), metric_signature(by_mode[1]))
-        << "shards=" << shards;
-    EXPECT_EQ(by_mode[1].price_updates_skipped, 0u);
-    EXPECT_GT(by_mode[0].price_updates_skipped, 0u) << "shards=" << shards;
   }
 }
 

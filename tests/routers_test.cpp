@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "graph/generators.h"
 #include "routing/a2l_router.h"
 #include "routing/engine.h"
+#include "routing/experiment.h"
 #include "routing/flash_router.h"
 #include "routing/landmark_router.h"
 #include "routing/shortest_path_router.h"
 #include "routing/spider_router.h"
+#include "routing/splicer_router.h"
 
 namespace splicer::routing {
 namespace {
@@ -232,6 +237,99 @@ TEST(A2lRouterTest, NonStarEndpointFails) {
   EXPECT_EQ(m.payments_completed, 0u);
   EXPECT_EQ(m.payment_fail_reasons[static_cast<std::size_t>(FailReason::kNoPath)],
             1u);
+}
+
+/// Forwards every hook to `inner` and records the largest number of
+/// payments it tracked when a resolution hook arrived, so a leak check can
+/// tell "emptied by the hook" from "never tracked anything".
+template <typename Inner>
+class TrackingProbe final : public Router {
+ public:
+  explicit TrackingProbe(Inner& inner) : inner_(inner), hooks_(inner) {}
+  [[nodiscard]] std::string name() const override { return hooks_.name(); }
+  void on_start(Engine& e) override { hooks_.on_start(e); }
+  void on_payment(Engine& e, const pcn::Payment& p) override {
+    hooks_.on_payment(e, p);
+  }
+  void on_tu_delivered(Engine& e, const TransactionUnit& tu) override {
+    hooks_.on_tu_delivered(e, tu);
+  }
+  void on_tu_failed(Engine& e, const TransactionUnit& tu,
+                    FailReason reason) override {
+    hooks_.on_tu_failed(e, tu, reason);
+  }
+  void on_tu_forwarded(Engine& e, const TransactionUnit& tu, ChannelId c,
+                       pcn::Direction d) override {
+    hooks_.on_tu_forwarded(e, tu, c, d);
+  }
+  void on_payment_timeout(Engine& e, PaymentId p) override {
+    hooks_.on_payment_timeout(e, p);
+  }
+  void on_payment_resolved(Engine& e, PaymentId p) override {
+    peak_tracked = std::max(peak_tracked, inner_.tracked_payments());
+    hooks_.on_payment_resolved(e, p);
+  }
+  void on_timer(Engine& e, std::uint64_t a, std::uint64_t b) override {
+    hooks_.on_timer(e, a, b);
+  }
+
+  std::size_t peak_tracked = 0;
+
+ private:
+  const Inner& inner_;
+  Router& hooks_;  // the same router, through its public hook interface
+};
+
+template <typename Inner>
+void expect_no_tracked_payments_after_run(Inner& inner,
+                                          const pcn::Network& network,
+                                          const Scenario& scenario,
+                                          EngineConfig config,
+                                          const std::string& label) {
+  TrackingProbe<Inner> probe(inner);
+  Engine engine(network, scenario.make_source(), probe, config);
+  const auto m = engine.run();
+  EXPECT_EQ(m.payments_completed + m.payments_failed, scenario.payments.size())
+      << label;
+  EXPECT_GT(probe.peak_tracked, 0u) << label;
+  EXPECT_EQ(inner.tracked_payments(), 0u) << label;
+}
+
+TEST(RouterResolvedHook, PerPaymentMapsAreEmptyAfterTheRun) {
+  // Router::on_payment_resolved fires for every payment at quiescence, so
+  // no router-side per-payment map may outlive its payment — whether the
+  // engine retains resolved states or evicts them.
+  ScenarioConfig scenario_config;
+  scenario_config.seed = 55;
+  scenario_config.topology.nodes = 60;
+  scenario_config.placement.candidate_count = 6;
+  scenario_config.workload.payment_count = 150;
+  scenario_config.workload.horizon_seconds = 6.0;
+  const auto scenario = prepare_scenario(scenario_config);
+  for (const bool retain : {true, false}) {
+    const std::string mode = retain ? " retain" : " evict";
+    EngineConfig config;
+    config.retain_resolved = retain;
+    {
+      config.queues_enabled = true;
+      SplicerRouter router(scenario.multi_star.hub_of, scenario.multi_star.hubs,
+                           SplicerRouter::Config{});
+      expect_no_tracked_payments_after_run(
+          router, scenario.multi_star.network, scenario, config,
+          "Splicer" + mode);
+    }
+    config.queues_enabled = false;
+    {
+      FlashRouter router;
+      expect_no_tracked_payments_after_run(router, scenario.raw, scenario,
+                                           config, "Flash" + mode);
+    }
+    {
+      LandmarkRouter router;
+      expect_no_tracked_payments_after_run(router, scenario.raw, scenario,
+                                           config, "Landmark" + mode);
+    }
+  }
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 //
 //   splicer_cli compare  [--nodes N] [--payments N] [--seed S] [--tau MS]
 //                        [--fund-scale X] [--value-scale X] [--scale-free]
+//                        [--candidates N] [--omega W] [--horizon S]
 //                        [--threads N] [--trials K] [--settlement-epoch MS]
 //                        [--workload synthetic|trace|bursty|hotspot]
 //                        [--trace-file CSV] [--streaming] [--no-retain]
 //                        [--burst-period S] [--burst-amplitude A]
-//                        [--shift-interval S] [--shards N]
+//                        [--shift-interval S]
 //                        [--fault-rate R] [--churn-rate R] [--fee-policy R]
 //                        [--timelock-budget N]
 //       run all six schemes on one shared scenario and print the comparison;
@@ -20,10 +21,6 @@
 //       AND evicts resolved payment states (the retention contract: a
 //       streaming run holds O(concurrency) states, see the "resident"
 //       column); --no-retain forces eviction for materialised runs too.
-//       --shards > 1 runs each simulation on N engine shards with
-//       barrier-synchronised cross-shard mailboxes (deterministic for a
-//       fixed N; see README "Parallelism"); requires --trials 1, and
-//       --threads then caps the shard workers instead of the scheme fan-out.
 //       The hostile-world knobs (all default off; see README "Hostile-world
 //       scenarios") inject Poisson faults/churn/policy rewrites:
 //       --fault-rate/--churn-rate/--fee-policy are events per second and
@@ -38,11 +35,18 @@
 //
 //   splicer_cli topology [--nodes N] [--seed S] [--scale-free]
 //       print topology statistics for the generated PCN
+//
+// Every subcommand accepts only the keys listed for it. An unknown key, a
+// key missing its value, or a number that does not parse in full prints
+// the offending key plus the usage text and exits with status 2.
 
 #include <algorithm>
-#include <cstring>
+#include <cerrno>
+#include <cstdlib>
 #include <iostream>
 #include <map>
+#include <span>
+#include <stdexcept>
 #include <string>
 
 #include "common/table.h"
@@ -54,36 +58,87 @@
 #include "placement/milp_solver.h"
 #include "routing/experiment.h"
 #include "routing/parallel_experiment.h"
-#include "routing/sharded_engine.h"
 #include "splicer/workflow.h"
 
 using namespace splicer;
 
 namespace {
 
-/// Minimal --key value / --flag parser.
+/// What a key takes: nothing (a bare flag), an unsigned integer, a real
+/// number, or free text.
+enum class Value { kFlag, kCount, kReal, kText };
+
+struct Option {
+  const char* key;
+  Value value;
+};
+
+/// A command line the subcommand cannot run with; main() prints it with
+/// the usage text and exits 2.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+std::uint64_t parse_count(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    throw UsageError("--" + key + ": '" + text + "' is not an integer");
+  }
+  return value;
+}
+
+double parse_real(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    throw UsageError("--" + key + ": '" + text + "' is not a number");
+  }
+  return value;
+}
+
+/// --key value / --flag parser, strict against the subcommand's declared
+/// options: every key must be declared, every value-taking key needs a
+/// value, and numeric values must parse in full.
 class Args {
  public:
-  Args(int argc, char** argv) {
+  Args(int argc, char** argv, std::span<const Option> options) {
     for (int i = 2; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "1";
+      const std::string token = argv[i];
+      if (token.rfind("--", 0) != 0) {
+        throw UsageError("unexpected argument '" + token + "'");
       }
+      const std::string key = token.substr(2);
+      const auto option = std::find_if(
+          options.begin(), options.end(),
+          [&](const Option& o) { return key == o.key; });
+      if (option == options.end()) {
+        throw UsageError("unknown option '--" + key + "'");
+      }
+      if (option->value == Value::kFlag) {
+        values_[key] = "1";
+        continue;
+      }
+      if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+        throw UsageError("--" + key + " needs a value");
+      }
+      const std::string value = argv[++i];
+      if (option->value == Value::kCount) (void)parse_count(key, value);
+      if (option->value == Value::kReal) (void)parse_real(key, value);
+      values_[key] = value;
     }
   }
 
   [[nodiscard]] std::uint64_t u64(const std::string& key, std::uint64_t fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 10);
+    return it == values_.end() ? fallback : parse_count(key, it->second);
   }
   [[nodiscard]] double real(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    return it == values_.end() ? fallback : parse_real(key, it->second);
   }
   [[nodiscard]] std::string str(const std::string& key, std::string fallback) const {
     const auto it = values_.find(key);
@@ -147,14 +202,6 @@ int cmd_compare(const Args& args) {
   const auto config = scenario_from(args);
   const std::size_t threads = args.u64("threads", 0);
   const std::size_t trials = std::max<std::uint64_t>(1, args.u64("trials", 1));
-  const auto shards =
-      static_cast<std::uint32_t>(std::max<std::uint64_t>(1, args.u64("shards", 1)));
-  if (shards > 1 && trials > 1) {
-    std::cerr << "error: --shards parallelises inside one simulation and "
-                 "--trials across simulations; combine at most one of them "
-                 "(run --shards with --trials 1)\n";
-    return 1;
-  }
 
   std::cout << "preparing scenario: " << config.topology.nodes << " nodes, ";
   if (config.workload.kind == pcn::WorkloadKind::kTrace) {
@@ -221,26 +268,7 @@ int cmd_compare(const Args& args) {
               << " clients\n";
     warn_trace_skips(prepared.front());
     std::cout << "\n";
-    if (shards > 1) {
-      // Intra-simulation parallelism: each scheme runs once across N
-      // engine shards (schemes stay sequential so the shard workers own
-      // the machine); metrics land in the same trial-0 slot the table
-      // below reads.
-      results.resize(tasks.size());
-      std::uint64_t crossings = 0;
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        routing::ShardedEngineConfig sharded;
-        sharded.shards = shards;
-        sharded.threads = threads;
-        results[t].trials.push_back(routing::run_scheme_sharded(
-            prepared.front(), tasks[t].scheme, tasks[t].config, sharded));
-        crossings += results[t].trials.back().cross_shard_messages;
-      }
-      std::cout << "sharded: " << shards << " shards, "
-                << crossings << " cross-shard TU handoffs/results\n";
-    } else {
-      results = runner.run_prepared(prepared, tasks).front();
-    }
+    results = runner.run_prepared(prepared, tasks).front();
   } else {
     if (config.workload.kind == pcn::WorkloadKind::kTrace) {
       // Derived-seed trials re-place their own topologies but replay the
@@ -376,27 +404,90 @@ int cmd_topology(const Args& args) {
   return 0;
 }
 
-void usage() {
-  std::cout << "usage: splicer_cli <compare|place|workflow|topology> [--key value ...]\n"
-               "  compare   run all routing schemes on one scenario\n"
-               "  place     solve a hub-placement instance\n"
-               "  workflow  trace one encrypted payment (Fig. 3)\n"
-               "  topology  PCN topology statistics\n";
+constexpr Option kCompareOptions[] = {
+    {"seed", Value::kCount},           {"nodes", Value::kCount},
+    {"payments", Value::kCount},       {"candidates", Value::kCount},
+    {"omega", Value::kReal},           {"horizon", Value::kReal},
+    {"fund-scale", Value::kReal},      {"value-scale", Value::kReal},
+    {"scale-free", Value::kFlag},      {"tau", Value::kReal},
+    {"threads", Value::kCount},        {"trials", Value::kCount},
+    {"settlement-epoch", Value::kReal}, {"workload", Value::kText},
+    {"trace-file", Value::kText},      {"streaming", Value::kFlag},
+    {"no-retain", Value::kFlag},       {"burst-period", Value::kReal},
+    {"burst-amplitude", Value::kReal}, {"shift-interval", Value::kReal},
+    {"fault-rate", Value::kReal},      {"churn-rate", Value::kReal},
+    {"fee-policy", Value::kReal},      {"timelock-budget", Value::kCount},
+};
+constexpr Option kPlaceOptions[] = {
+    {"seed", Value::kCount},  {"nodes", Value::kCount},
+    {"scale-free", Value::kFlag}, {"candidates", Value::kCount},
+    {"omega", Value::kReal},  {"solver", Value::kText},
+};
+constexpr Option kWorkflowOptions[] = {
+    {"seed", Value::kCount}, {"kmg", Value::kCount}, {"value", Value::kReal}};
+constexpr Option kTopologyOptions[] = {
+    {"seed", Value::kCount}, {"nodes", Value::kCount},
+    {"scale-free", Value::kFlag}};
+
+struct Command {
+  const char* name;
+  const char* summary;
+  int (*run)(const Args&);
+  std::span<const Option> options;
+};
+
+constexpr Command kCommands[] = {
+    {"compare", "run all routing schemes on one scenario", cmd_compare,
+     kCompareOptions},
+    {"place", "solve a hub-placement instance", cmd_place, kPlaceOptions},
+    {"workflow", "trace one encrypted payment (Fig. 3)", cmd_workflow,
+     kWorkflowOptions},
+    {"topology", "PCN topology statistics", cmd_topology, kTopologyOptions},
+};
+
+void usage(std::ostream& out) {
+  out << "usage: splicer_cli <compare|place|workflow|topology> [--key value ...]\n";
+  for (const Command& command : kCommands) {
+    out << "  " << command.name
+        << std::string(10 - std::string(command.name).size(), ' ')
+        << command.summary << "\n";
+    std::string line = "           ";
+    for (const Option& option : command.options) {
+      std::string item = std::string(" --") + option.key;
+      if (option.value == Value::kCount) item += " N";
+      if (option.value == Value::kReal) item += " X";
+      if (option.value == Value::kText) item += " NAME";
+      if (line.size() + item.size() > 78) {
+        out << line << "\n";
+        line = "           ";
+      }
+      line += item;
+    }
+    out << line << "\n";
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    usage();
+    usage(std::cout);
     return 2;
   }
-  const std::string command = argv[1];
-  const Args args(argc, argv);
-  if (command == "compare") return cmd_compare(args);
-  if (command == "place") return cmd_place(args);
-  if (command == "workflow") return cmd_workflow(args);
-  if (command == "topology") return cmd_topology(args);
-  usage();
-  return 2;
+  const std::string name = argv[1];
+  const auto command =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&](const Command& c) { return name == c.name; });
+  if (command == std::end(kCommands)) {
+    usage(std::cout);
+    return 2;
+  }
+  try {
+    const Args args(argc, argv, command->options);
+    return command->run(args);
+  } catch (const UsageError& error) {
+    std::cerr << "splicer_cli " << name << ": " << error.what() << "\n";
+    usage(std::cerr);
+    return 2;
+  }
 }

@@ -43,12 +43,12 @@ const std::vector<RuleInfo>& rule_table() {
        "no retained reference into Engine slab state across a relocation "
        "point (send_tu/fail_payment); no send_tu from on_tu_forwarded"},
       {"writer-lanes", "src/",
-       "single-writer mailbox lanes and cross-shard inboxes mutate only "
-       "inside their owning component"},
+       "single-writer state (rate-router active sets, engine mutation "
+       "state) is mutated only inside its owning component"},
       {"writer-lanes-transitive", "src/ (call graph)",
-       "lane/mailbox ownership propagates through calls: helpers that write "
-       "owned state make their callers writers; only the sanctioned entry "
-       "APIs cross the component boundary"},
+       "single-writer ownership propagates through calls: helpers that "
+       "write owned state make their callers writers; only the sanctioned "
+       "entry APIs cross the component boundary"},
       {"hotpath-alloc", "src/sim, src/routing, src/pcn (call graph)",
        "no allocation (new/make_unique/container or string construction/"
        "reserve/resize) reachable from Engine::handle_event, on_timer "
@@ -57,9 +57,8 @@ const std::vector<RuleInfo>& rule_table() {
        "no slab reference passed into a callee that transitively reaches "
        "send_tu/fail_payment — the callee may relocate the slab it aliases"},
       {"float-order", "src/ (call graph)",
-       "floating accumulation in merge/parallel contexts (merge, merge_from, "
-       "drain_mailboxes and their callees) is annotated with why summation "
-       "order is deterministic"},
+       "floating accumulation in merge contexts (merge and its callees) is "
+       "annotated with why summation order is deterministic"},
       {"stale-allow", "everywhere linted",
        "a SPLICER_LINT_ALLOW whose rule no longer fires on its covered line "
        "is dead and must be removed (tree runs only)"},
@@ -577,13 +576,6 @@ void check_writer_lanes(std::string_view path,
     const char* owner_b;
   };
   static const Owned kOwned[] = {
-      {R"(\blanes_\b)", "ShardedScheduler mailbox lane storage 'lanes_'",
-       "src/sim/sharded_scheduler.h", "src/sim/sharded_scheduler.cpp"},
-      {R"(\bdrain_mailboxes\s*\()", "barrier drain 'drain_mailboxes()'",
-       "src/sim/sharded_scheduler.h", "src/sim/sharded_scheduler.cpp"},
-      {R"(\b(handoff_inbox_|result_inbox_|injected_arrivals_)\b)",
-       "Engine cross-shard inbox state",
-       "src/routing/engine.h", "src/routing/engine.cpp"},
       {R"(\b(active_pairs_|active_channels_|sleep_subs_|wake_heap_)\b)",
        "rate-router active-set scheduling state",
        "src/routing/rate_protocol.h", "src/routing/rate_protocol.cpp"},
@@ -604,8 +596,8 @@ void check_writer_lanes(std::string_view path,
             std::string(kOwned[r].what) +
                 " referenced outside its owning component (" +
                 kOwned[r].owner_a +
-                "): cross-shard state has exactly one writer per window — "
-                "go through the owning-shard API (post/deliver_*)");
+                "): this state has exactly one writer — go through the "
+                "owning component's API");
       }
     }
   }

@@ -3,8 +3,8 @@
 // splicer-lint: repo-contract static analysis for the determinism-critical
 // core. A token/regex-level checker (no compiler front-end, no LLVM dev
 // dependency) that enforces the source-level contracts behind the repo's
-// CI-gated guarantees — the frozen epoch-0 fig7 event stream, 1-shard
-// parity with the sequential engine, and N-shard byte-identity.
+// CI-gated guarantees — the frozen epoch-0 fig7 event stream and the
+// byte-identity of runs across thread counts.
 //
 // The analysis runs in two phases:
 //
@@ -41,10 +41,9 @@
 //                    (send_tu / fail_payment) in the same scope, and
 //                    send_tu must never be dispatched from inside
 //                    on_tu_forwarded (whose TU aliases the live_ slab).
-//   writer-lanes     single-writer mailbox state (ShardedScheduler lanes,
-//                    Engine cross-shard inboxes, rate-router active sets)
-//                    is mutated only inside its owning component's
-//                    translation units.
+//   writer-lanes     single-writer state (rate-router active sets, Engine
+//                    hostile-world mutation state) is mutated only inside
+//                    its owning component's translation units.
 //
 // Call-graph rules (tree runs only — see rules_interproc.h for the
 // contracts): writer-lanes-transitive, hotpath-alloc, slab-alias-escape,
@@ -63,8 +62,8 @@
 // brace depth but not control flow, resolves calls by name rather than by
 // type, and clears slab-alias poison when the relocating block closes (the
 // guard-clause `if (...) { fail_payment(...); return; }` idiom). False
-// negatives are backstopped by the SPLICER_AUDIT dynamic witnesses and the
-// runtime hard-errors in the engine.
+// negatives are backstopped by the SPLICER_AUDIT heap-order witness and
+// the runtime hard-errors in the engine.
 
 #include <filesystem>
 #include <string>

@@ -180,15 +180,6 @@ void check_writer_lanes_transitive(const CallGraph& graph,
     std::set<std::string> sanctioned;  // legal cross-component entry APIs
   };
   static const OwnedGroup kGroups[] = {
-      {R"(\blanes_\b|\bdrain_mailboxes\s*\()",
-       "ShardedScheduler mailbox lanes", "src/sim/sharded_scheduler.h",
-       "src/sim/sharded_scheduler.cpp",
-       {"post", "run", "drive"}},
-      {R"(\b(handoff_inbox_|result_inbox_|injected_arrivals_)\b)",
-       "Engine cross-shard inbox state", "src/routing/engine.h",
-       "src/routing/engine.cpp",
-       {"deliver_handoff", "deliver_result", "inject_arrival",
-        "handle_event"}},
       {R"(\b(active_pairs_|active_channels_|sleep_subs_|wake_heap_)\b)",
        "rate-router active-set scheduling state", "src/routing/rate_protocol.h",
        "src/routing/rate_protocol.cpp",
@@ -214,8 +205,8 @@ void check_writer_lanes_transitive(const CallGraph& graph,
       }
     }
     // 2. Propagate writer-hood to callers, stopping at sanctioned APIs:
-    //    calling post()/deliver_*() is the legal crossing, so a sanctioned
-    //    function does not make its callers writers.
+    //    calling one is the legal crossing, so a sanctioned function does
+    //    not make its callers writers.
     while (!queue.empty()) {
       const int v = queue.front();
       queue.pop_front();
@@ -257,9 +248,8 @@ void check_writer_lanes_transitive(const CallGraph& graph,
       add(out, caller.file, call.line, "writer-lanes-transitive",
           "call to '" + graph.qualified_name(e.callee) +
               "' reaches " + group.what + " (owner: " + group.owner_a +
-              ") from outside the owning component — cross-shard state has "
-              "exactly one writer per window; go through the sanctioned "
-              "APIs (" +
+              ") from outside the owning component — this state has "
+              "exactly one writer; go through the sanctioned APIs (" +
               sanctioned_list + ") or move the helper into the owner");
     }
   }
@@ -345,10 +335,7 @@ void check_slab_alias_escape(const CallGraph& graph, const SourceMap& sources,
 
 void check_float_order(const CallGraph& graph, const SourceMap& sources,
                        std::vector<Finding>& out) {
-  std::vector<int> roots;
-  for (const char* name : {"merge", "merge_from", "drain_mailboxes"}) {
-    for (const int r : graph.find_by_name(name)) roots.push_back(r);
-  }
+  const std::vector<int> roots = graph.find_by_name("merge");
   if (roots.empty()) return;
   const CallGraph::Reach reach = graph.reachable_from(roots);
 
@@ -372,12 +359,12 @@ void check_float_order(const CallGraph& graph, const SourceMap& sources,
     });
     if (!float_ctx || first_accum == 0) continue;
     add(out, def.file, first_accum, "float-order",
-        "floating accumulation in the merge/parallel context " +
+        "floating accumulation in the merge context " +
             graph.qualified_name(static_cast<int>(fi)) + " (" +
             std::to_string(accum_count) +
             " compound-assignment line(s); reached via " +
             graph.chain(reach, static_cast<int>(fi)) +
-            ") — shard/trial merge order feeds the byte-identity gates; "
+            ") — trial merge order feeds the byte-identity gates; "
             "annotate with SPLICER_LINT_ALLOW(float-order): <why the "
             "summation order is deterministic>");
   }

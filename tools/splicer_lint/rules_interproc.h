@@ -5,14 +5,12 @@
 // a contract violation hiding behind a helper function is attributed to
 // its callers through the graph:
 //
-//   writer-lanes-transitive  lane/mailbox ownership propagates through the
-//            call graph: a helper that touches single-writer state
-//            (ShardedScheduler lanes, Engine cross-shard inboxes, the
-//            rate-router active sets) makes every caller a writer, and a
-//            caller outside the owning component is flagged at the call
-//            site. The owning component's sanctioned entry APIs
-//            (post / deliver_* / inject_arrival, activate_channel /
-//            wake_pair / mark_channel_dirty) are the one legal crossing.
+//   writer-lanes-transitive  single-writer ownership propagates through
+//            the call graph: a helper that touches the rate-router active
+//            sets makes every caller a writer, and a caller outside the
+//            owning component is flagged at the call site. The owning
+//            component's sanctioned entry APIs (on_start / on_timer /
+//            run_protocol_tick) are the one legal crossing.
 //   hotpath-alloc  no new / make_unique / make_shared, no std container or
 //            std::string construction, and no reserve/resize in any
 //            function reachable from the hot event-loop entry points
@@ -26,12 +24,11 @@
 //            reaches a relocation point (send_tu / fail_payment) is
 //            flagged at the call site — the callee may relocate or evict
 //            the slab the reference aliases, one or more calls deep.
-//   float-order  floating accumulation inside merge/parallel contexts
-//            (functions named merge / merge_from / drain_mailboxes and
-//            everything they reach) must be annotated with why the
-//            summation order is deterministic — these are exactly the
-//            spots where the N-shard byte-identity gates would notice a
-//            reordered sum.
+//   float-order  floating accumulation inside merge contexts (functions
+//            named merge and everything they reach) must be annotated
+//            with why the summation order is deterministic — these are
+//            exactly the spots where the thread-count byte-identity gates
+//            would notice a reordered sum.
 
 #include <vector>
 
