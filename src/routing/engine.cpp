@@ -39,6 +39,12 @@ Engine::Engine(pcn::Network network, std::unique_ptr<pcn::TrafficSource> source,
       config_(config),
       rng_(config.seed) {
   if (!source_) throw std::invalid_argument("Engine: null traffic source");
+  if (!std::isfinite(config_.settlement_epoch_s)) {
+    // NaN would compare false against every `> 0` test and silently run
+    // the per-hop path; infinity would schedule flushes at +inf.
+    throw std::invalid_argument(
+        "EngineConfig::settlement_epoch_s must be finite");
+  }
   scheduler_.set_sink(this);
   source_horizon_ = source_->horizon_hint();
   directed_.resize(2 * network_.channel_count());
@@ -403,7 +409,7 @@ void Engine::release_live_tu(TuId id) {
   if (live == nullptr) return;
   const PaymentId payment = live->tu.payment;
   live_.erase(id);
-  if (auto* state = state_or_orphan(payment)) {
+  if (auto* state = find_payment_state(payment)) {
     if (state->live_tus > 0) --state->live_tus;
     maybe_evict(payment);
   }
@@ -414,16 +420,10 @@ void Engine::maybe_evict(PaymentId id) {
   if (state == nullptr) return;
   if (state->active() || state->live_tus > 0 || state->deadline_pending) return;
   // Quiescent: resolved, no live TU, deadline event fired/cancelled — no
-  // per-TU hook can ever fire for this payment again. Tell the router once
-  // so it can drop its per-payment map entries; the hook's contract (no TU
-  // dispatch, no event scheduling) keeps the event stream untouched, so
-  // firing it under retention too costs nothing and frees router memory in
-  // long retained runs as well.
-  if (!state->resolution_notified) {
-    state->resolution_notified = true;
-    router_.on_payment_resolved(*this, id);
-  }
-  if (config_.retain_resolved) return;
+  // per-TU hook can ever fire for this payment again. Tell the router so it
+  // can drop its per-payment map entries (the hook's contract — no TU
+  // dispatch, no event scheduling — keeps the event stream untouched).
+  router_.on_payment_resolved(*this, id);
   states_.erase(id);
   ++metrics_.states_evicted;
 }
@@ -445,12 +445,10 @@ TuId Engine::send_tu(TransactionUnit tu) {
   const TuId id = tu.id;
 
   // Orphan-tolerant: a router may keep dispatching splits of a payment
-  // that a sibling TU's synchronous failure just resolved — and, with
-  // retention off, evicted. The retained engine dispatches TUs for
-  // already-failed payments too, so the orphan TU must flow identically
-  // (its resolution skips the per-payment bookkeeping; everything else is
-  // the same). With retention on a miss still throws.
-  if (auto* state = state_or_orphan(tu.payment)) {
+  // that a sibling TU's synchronous failure just resolved and evicted. The
+  // orphan TU flows like any other; its resolution skips the per-payment
+  // bookkeeping.
+  if (auto* state = find_payment_state(tu.payment)) {
     state->in_flight += tu.value;
     ++state->live_tus;
     ++state->tus_launched;
@@ -471,19 +469,8 @@ PaymentState& Engine::payment_state(PaymentId id) {
   return *state;
 }
 
-PaymentState* Engine::state_or_orphan(PaymentId id) {
-  auto* state = find_payment_state(id);
-  if (state == nullptr && config_.retain_resolved) {
-    // Retention on: nothing is ever evicted, so a miss can only be a router
-    // handing the engine a bogus payment id — keep the historical throw
-    // instead of silently moving funds with no bookkeeping.
-    throw std::out_of_range("Engine: unknown payment");
-  }
-  return state;
-}
-
 void Engine::fail_payment(PaymentId id, FailReason reason) {
-  auto* state = state_or_orphan(id);
+  auto* state = find_payment_state(id);
   if (state == nullptr || !state->active()) return;  // resolved and evicted
   cancel_deadline_event(id);
   state->failed = true;
@@ -626,7 +613,7 @@ void Engine::deliver(TuId id) {
   // Orphan-tolerant: a TU of a payment resolved and evicted before it was
   // sent settles its hops like any other; only the per-payment bookkeeping
   // is gone.
-  if (auto* state = state_or_orphan(live.tu.payment)) {
+  if (auto* state = find_payment_state(live.tu.payment)) {
     state->in_flight -= live.tu.value;
     state->delivered += live.tu.value;
     if (!state->failed && !state->completed &&
@@ -695,7 +682,7 @@ void Engine::fail_tu(TuId id, FailReason reason) {
   if (live == nullptr || live->resolved) return;
   live->resolved = true;
   // Orphan TUs (see send_tu) have no payment state to update.
-  if (auto* state = state_or_orphan(live->tu.payment)) {
+  if (auto* state = find_payment_state(live->tu.payment)) {
     state->in_flight -= live->tu.value;
   }
   ++metrics_.tus_failed;

@@ -56,17 +56,6 @@ struct EngineConfig {
   /// Debug: after every queue mutation, re-derive each touched queue's
   /// value from its entries and throw on any drift (invariant test suite).
   bool validate_queues = false;
-  /// Retention contract for resolved PaymentStates. true (default) keeps
-  /// every state for the whole run — the legacy behaviour, required when
-  /// callers inspect payment_state() after run() returns. false evicts a
-  /// resolved payment's state as soon as nothing can reference it any more
-  /// (no live TU, no queue entry, no pending deadline event, no epoch
-  /// buffer), so a truly unbounded streaming run holds O(concurrency)
-  /// states instead of one per payment ever processed. All reported
-  /// metrics are folded into streaming accumulators at resolution time and
-  /// are identical in both modes; only memory (peak_resident_states) and
-  /// the states_evicted counter differ.
-  bool retain_resolved = true;
   /// Debug/parity knob for the incremental rate-control tick. false
   /// (default) lets rate routers skip provably-identity per-tick work
   /// (dirty-channel price updates, memoized probe sums, sleeping pairs) —
@@ -114,16 +103,15 @@ struct EngineMetrics {
   /// look-ahead payment), so this stays at the workload's concurrency
   /// level rather than its total size - the streaming-scale signal.
   std::size_t peak_payment_buffer = 0;
-  /// Peak number of PaymentStates simultaneously resident. With
-  /// retain_resolved (default) this equals payments_generated by the end
-  /// of the run; with eviction it stays at the concurrency level — the
-  /// retention-contract memory signal.
+  /// Peak number of PaymentStates simultaneously resident. Resolved
+  /// states are evicted once unreferenced, so this stays at the
+  /// concurrency level, not the payment count.
   std::size_t peak_resident_states = 0;
-  /// Resolved PaymentStates evicted (always 0 when retain_resolved).
+  /// Resolved PaymentStates evicted (every payment, by the end of a run).
   std::uint64_t states_evicted = 0;
   /// Streaming per-run accumulators, folded at resolution time so no
-  /// metric ever needs a post-hoc scan over retained states (the retention
-  /// contract: resolved states may be long gone by the end of the run).
+  /// metric ever needs a post-hoc scan over payment states (resolved
+  /// states are long gone by the end of the run).
   common::RunningStats completion_delay_stats;  // seconds, completed payments
   common::RunningStats tus_per_payment_stats;   // TUs launched per resolved payment
   /// Value delivered by payments that nonetheless failed (partial
@@ -169,11 +157,12 @@ struct EngineMetrics {
   }
 };
 
-/// Per-payment progress (router-visible). With eviction enabled
-/// (EngineConfig::retain_resolved == false) a resolved state disappears as
-/// soon as the last engine-side reference is gone — routers must reach it
-/// through Engine::find_payment_state() from any context that can outlive
-/// resolution (deferred lambdas, demand queues, recurring ticks).
+/// Per-payment progress (router-visible). A resolved state is evicted as
+/// soon as the last engine-side reference is gone (no live TU, no queue
+/// entry, no pending deadline event, no epoch buffer), so an unbounded run
+/// holds O(concurrency) states. Routers must reach it through
+/// Engine::find_payment_state() from any context that can outlive
+/// resolution (deferred timers, demand queues, recurring ticks).
 struct PaymentState {
   pcn::Payment payment;
   Amount delivered = 0;     // settled at destination
@@ -194,10 +183,6 @@ struct PaymentState {
   /// The pending deadline event (valid while deadline_pending). Batched
   /// mode cancels it on resolution; stored inline so no side map is needed.
   sim::Scheduler::EventId deadline_event = 0;
-  /// Router::on_payment_resolved has fired for this payment (it fires
-  /// exactly once, at quiescence — resolved with no live TU and no pending
-  /// deadline event — whether or not the state is then evicted).
-  bool resolution_notified = false;
 
   [[nodiscard]] Amount remaining_to_dispatch() const noexcept {
     return payment.value - delivered - in_flight;
@@ -260,9 +245,9 @@ class Engine : private sim::EventSink {
   }
 
   /// Arms a router timer `delay` seconds from now: fires back through
-  /// Router::on_timer with (a, b) verbatim. A typed pooled event — use this
-  /// instead of scheduler().after(...) for per-TU-frequency timers, where a
-  /// captured lambda would heap-allocate.
+  /// Router::on_timer with (a, b) verbatim. A typed pooled event and the
+  /// one way a router schedules work, from per-TU drips to recurring ticks
+  /// (a tick re-arms itself from on_timer).
   sim::Scheduler::EventId schedule_timer(double delay, std::uint64_t a,
                                          std::uint64_t b = 0) {
     return scheduler_.after(
@@ -408,12 +393,7 @@ class Engine : private sim::EventSink {
   std::size_t pick_from_queue(const DirectedState& state) const;
   void on_payment_deadline(PaymentId id);
 
-  // Retention contract.
-  /// Orphan-tolerant lookup for engine-internal TU paths: nullptr means
-  /// the payment was resolved and evicted (only possible with retention
-  /// off); with retention on a miss is a caller bug and throws like
-  /// payment_state().
-  [[nodiscard]] PaymentState* state_or_orphan(PaymentId id);
+  // Payment lifetime.
   /// Folds the payment's final outcome (latency, TU count, partial value)
   /// into the streaming accumulators. Called exactly once, at resolution.
   void fold_resolution(const PaymentState& state);
@@ -421,8 +401,8 @@ class Engine : private sim::EventSink {
   /// the state when that was the last reference. Replaces every direct
   /// live_.erase() at TU release sites.
   void release_live_tu(TuId id);
-  /// Evicts the payment's state iff eviction is enabled, the payment is
-  /// resolved and nothing (live TU, deadline event) references it.
+  /// Notifies the router and evicts the payment's state iff the payment
+  /// is resolved and nothing (live TU, deadline event) references it.
   void maybe_evict(PaymentId id);
 
   // Batched settlement (settlement_epoch_s > 0).

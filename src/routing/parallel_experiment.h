@@ -56,8 +56,8 @@ struct TaskResult {
   common::RunningStats throughput;
   common::RunningStats delay_s;
   common::RunningStats messages;
-  /// Peak resident PaymentStates per trial (the retention-contract memory
-  /// signal; equals the payment count unless eviction is enabled).
+  /// Peak resident PaymentStates per trial (the eviction memory signal:
+  /// the concurrency level, not the payment count).
   common::RunningStats peak_resident;
 
   /// Trial-0 metrics: bit-identical to the sequential single-run path.

@@ -2,12 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "routing/path_filter.h"
 
 namespace splicer::routing {
 
+void RateRouterBase::require_tick_period(double period, const char* what) {
+  if (!std::isfinite(period) || period <= 0) {
+    throw std::invalid_argument(std::string(what) +
+                                " must be finite and > 0");
+  }
+}
+
 void RateRouterBase::on_start(Engine& engine) {
+  require_tick_period(config_.tau_s, "RateProtocolConfig::tau_s");
   const std::size_t channels = engine.network().channel_count();
   prices_.assign(channels, ChannelPrices{});
   // channel_price() of the zero-initialised prices is 0 for every
@@ -38,16 +48,8 @@ void RateRouterBase::on_start(Engine& engine) {
     }
   }
 
-  // workload_horizon() is queried per tick: for streaming sources it grows
-  // as payments are pulled, so price updates keep running until the tail
-  // payments' deadlines have passed (replay sources report it exactly from
-  // the start, matching the old materialised-vector scan).
-  engine.scheduler().every(config_.tau_s, [this, &engine] {
-    if (engine.past_horizon()) return false;
-    run_protocol_tick(engine);
-    on_tick(engine);
-    return true;
-  });
+  // The tau tick re-arms itself from on_timer until past_horizon().
+  engine.schedule_timer(config_.tau_s, 0, kPriceTickTimer);
 }
 
 void RateRouterBase::run_protocol_tick(Engine& engine) {
@@ -67,9 +69,20 @@ void RateRouterBase::on_payment(Engine& engine, const pcn::Payment& payment) {
 }
 
 void RateRouterBase::on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) {
+  if (b == kPriceTickTimer) {
+    // workload_horizon() is queried per tick: for streaming sources it
+    // grows as payments are pulled, so price updates keep running until
+    // the tail payments' deadlines have passed. The successor is armed
+    // after the body, so events the tick schedules keep their sequence
+    // numbers ahead of it.
+    if (engine.past_horizon()) return;
+    run_protocol_tick(engine);
+    engine.schedule_timer(config_.tau_s, 0, kPriceTickTimer);
+    return;
+  }
   if (b == kAdmitTimer) {
     // Checked lookup: the decision delay can outlive the payment, and a
-    // resolved state may already be evicted (streaming retention contract).
+    // resolved state may already be evicted.
     const auto* state = engine.find_payment_state(a);
     if (state == nullptr || !state->active()) return;  // already timed out
     // SPLICER_LINT_ALLOW(slab-alias-escape): admit_demand re-fetches the
@@ -86,7 +99,7 @@ void RateRouterBase::on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) 
 
 void RateRouterBase::admit_demand(Engine& engine, const pcn::Payment& payment) {
   // Checked lookup: the decision delay can outlive the payment, and a
-  // resolved state may already be evicted (streaming retention contract).
+  // resolved state may already be evicted.
   const auto* state = engine.find_payment_state(payment.id);
   if (state == nullptr || !state->active()) return;  // already timed out
   const PairKey pair = pair_of(engine, payment);
@@ -608,8 +621,8 @@ void RateRouterBase::try_send(Engine& engine, const PairKey& pair,
     return;  // window-bound; re-armed on delivery/failure
   }
   // Pop exhausted/inactive demands. Evicted states (resolved payments whose
-  // PaymentState is already gone under the retention contract) count as
-  // inactive, exactly like a still-resident resolved state.
+  // PaymentState is already gone) count as inactive, exactly like a
+  // still-resident resolved state.
   const PaymentState* front_state = nullptr;
   while (!state.demands.empty()) {
     const auto& front = state.demands.front();

@@ -85,6 +85,18 @@ class RateRouterBase : public Router {
   void on_tu_forwarded(Engine& engine, const TransactionUnit& tu,
                        ChannelId channel, pcn::Direction direction) override;
   void on_payment_resolved(Engine& engine, PaymentId payment) override;
+  void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) override;
+
+  // Typed timer dispatch (Engine::schedule_timer): drip timers pack the
+  // pair endpoints into `a` and the path index into `b`; the other timers
+  // carry one of these reserved `b` tags. Path counts are tiny (k paths per
+  // pair), so a tag can never collide with a path index.
+  /// Deferred admit; `a` = payment id.
+  static constexpr std::uint64_t kAdmitTimer = ~std::uint64_t{0};
+  /// Recurring tau price/probe tick; `a` unused.
+  static constexpr std::uint64_t kPriceTickTimer = kAdmitTimer - 1;
+  /// Recurring hub epoch sync (SplicerRouter); `a` unused.
+  static constexpr std::uint64_t kSyncTickTimer = kAdmitTimer - 2;
 
   [[nodiscard]] const RateProtocolConfig& protocol_config() const noexcept {
     return config_;
@@ -114,12 +126,17 @@ class RateRouterBase : public Router {
                                                               NodeId to) const;
 
   /// One price-update + probe round, exactly as the recurring tau timer
-  /// runs it (minus the subclass on_tick hook). Public for the rate-tick
-  /// microbenchmark, which drives ticks directly at controlled
-  /// dirty-channel fractions; simulations never call this.
+  /// runs it. Public for the rate-tick microbenchmark, which drives ticks
+  /// directly at controlled dirty-channel fractions; simulations never
+  /// call this.
   void run_protocol_tick(Engine& engine);
 
  protected:
+  /// Throws std::invalid_argument unless a recurring tick's `period` is
+  /// finite and > 0: any other period re-arms the tick at the same instant
+  /// (or never advances the clock) and the run never ends.
+  static void require_tick_period(double period, const char* what);
+
   /// Endpoints between which the k-path set is computed. For Splicer these
   /// are the two hubs; for Spider the sender/receiver themselves.
   struct PairKey {
@@ -151,11 +168,6 @@ class RateRouterBase : public Router {
   /// topology with the configured path type.
   [[nodiscard]] virtual std::vector<graph::Path> compute_pair_paths(
       Engine& engine, const PairKey& pair) const;
-
-  /// Called once per protocol tick (every tau) after prices update;
-  /// subclasses may add bookkeeping (e.g., Splicer's epoch sync counting
-  /// happens on its own timer).
-  virtual void on_tick(Engine& engine) { (void)engine; }
 
   /// Source-side admission (paper Alg. 2 line 10, F_ab < |d_i|): whether a
   /// TU with these hop amounts may be dispatched now. Splicer's smooth
@@ -255,11 +267,6 @@ class RateRouterBase : public Router {
     std::uint64_t resleep_delay = kResleepDelayTicks;
   };
 
-  // Typed timer dispatch (Engine::schedule_timer): drip timers pack the
-  // pair endpoints into `a` and the path index into `b`; deferred admits
-  // pack the payment id into `a` and this sentinel into `b`. Path counts
-  // are tiny (k paths per pair), so the sentinel can never collide.
-  static constexpr std::uint64_t kAdmitTimer = ~std::uint64_t{0};
   [[nodiscard]] static constexpr std::uint64_t pack_pair(PairKey pair) noexcept {
     return (static_cast<std::uint64_t>(pair.from) << 32) | pair.to;
   }
@@ -267,8 +274,6 @@ class RateRouterBase : public Router {
     return PairKey{static_cast<NodeId>(a >> 32),
                    static_cast<NodeId>(a & 0xffffffffu)};
   }
-  void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) override;
-
   void admit_demand(Engine& engine, const pcn::Payment& payment);
   PairState* ensure_pair(Engine& engine, const PairKey& pair);
   void update_prices(Engine& engine);

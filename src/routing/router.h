@@ -123,9 +123,8 @@ class Router {
   /// The payment reached quiescence: resolved (completed or failed), no
   /// live TU remains and its deadline event has fired or been cancelled —
   /// the engine will never invoke another per-TU hook for it. Fired exactly
-  /// once per payment, immediately before the state would be evicted (it
-  /// also fires, at the same point, when retention keeps the state). This
-  /// is the place to erase per-payment entries from router-side maps.
+  /// once per payment, immediately before the state is evicted. This is
+  /// the place to erase per-payment entries from router-side maps.
   /// Contract: the hook must not dispatch TUs or schedule events — firing
   /// it must leave the simulation's event stream untouched.
   virtual void on_payment_resolved(Engine& engine, PaymentId payment) {

@@ -17,16 +17,25 @@ SplicerRouter::SplicerRouter(std::vector<NodeId> hub_of, std::vector<NodeId> hub
 }
 
 void SplicerRouter::on_start(Engine& engine) {
+  require_tick_period(config_.epoch_s, "SplicerRouter::Config::epoch_s");
+  // The base arms the price tick first, so the two ticks keep their
+  // (time, sequence) order.
   RateRouterBase::on_start(engine);
+  engine.schedule_timer(config_.epoch_s, 0, kSyncTickTimer);
+}
+
+void SplicerRouter::on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) {
+  if (b != kSyncTickTimer) {
+    RateRouterBase::on_timer(engine, a, b);
+    return;
+  }
   // Epoch synchronisation (Fig. 5 step 1): every hub exchanges the final
   // global information of the last epoch with every other hub. The horizon
   // is queried per tick so streamed workloads keep extending it.
+  if (engine.past_horizon()) return;
   const auto z = hubs_.size();
-  engine.scheduler().every(config_.epoch_s, [&engine, z] {
-    if (engine.past_horizon()) return false;
-    engine.counters().sync_messages += z * (z - 1);
-    return true;
-  });
+  engine.counters().sync_messages += z * (z - 1);
+  engine.schedule_timer(config_.epoch_s, 0, kSyncTickTimer);
 }
 
 RateRouterBase::PairKey SplicerRouter::pair_of(const Engine& engine,

@@ -32,6 +32,7 @@ class SplicerRouter final : public RateRouterBase {
   [[nodiscard]] std::string name() const override { return "Splicer"; }
 
   void on_start(Engine& engine) override;
+  void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) override;
 
  protected:
   /// Rate/window/demand state is per client pair (the s,e of eq. 16)...

@@ -3,12 +3,12 @@
 // Typed hot-path event payload for the discrete-event scheduler.
 //
 // The simulation engine schedules millions of events per run; carrying each
-// one as a std::function closure costs a heap allocation and an indirect
+// one as a type-erased closure costs a heap allocation and an indirect
 // call per event. An EngineEvent is instead a tag plus a few POD fields,
 // stored inline in the scheduler's event pool and dispatched through a
 // single EventSink virtual call — no allocation anywhere on the hot path.
-// std::function callbacks remain available as a fallback variant for
-// low-frequency work (recurring router ticks, tests, tools).
+// It is the scheduler's only event form: low-frequency recurring work
+// (router price/probe ticks, hub epoch sync) rides kRouterTimer too.
 
 #include <cstdint>
 
@@ -16,7 +16,7 @@ namespace splicer::sim {
 
 struct EngineEvent {
   enum class Kind : std::uint8_t {
-    kNone = 0,       // unset — the event carries a fallback callback instead
+    kNone = 0,       // unset — rejected at scheduling time
     kArrival,        // pull the staged payment into the engine
     kDeadline,       // payment deadline fired: a = PaymentId
     kAttemptHop,     // (re)try a TU's current hop: a = TuId
@@ -40,8 +40,8 @@ struct EngineEvent {
 };
 
 /// Receiver for typed events. The engine implements this once; the
-/// scheduler dispatches every typed event through it (one devirtualizable
-/// call instead of one type-erased closure per event).
+/// scheduler dispatches every event through it (one devirtualizable call
+/// instead of one type-erased closure per event).
 class EventSink {
  public:
   virtual void handle_event(const EngineEvent& event) = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 namespace splicer::sim {
 
@@ -28,16 +27,8 @@ void Scheduler::release_node(std::uint32_t slot) {
   ++node.generation;  // invalidate outstanding EventIds for this slot
   node.heap_pos = kNullIndex;
   node.event = EngineEvent{};
-  node.callback = nullptr;
   node.next_free = free_head_;
   free_head_ = slot;
-}
-
-Scheduler::EventId Scheduler::at(Time when, Callback callback) {
-  const std::uint32_t slot = acquire_node(when);
-  pool_[slot].callback = std::move(callback);
-  heap_push(slot);
-  return (static_cast<EventId>(pool_[slot].generation) << 32) | slot;
 }
 
 Scheduler::EventId Scheduler::at(Time when, const EngineEvent& event) {
@@ -45,9 +36,8 @@ Scheduler::EventId Scheduler::at(Time when, const EngineEvent& event) {
     throw std::logic_error("Scheduler: typed event scheduled without a sink");
   }
   if (event.kind == EngineEvent::Kind::kNone) {
-    // kNone is the pool's "this node carries a callback" discriminator;
-    // letting it through would mis-route the event to the (empty) callback
-    // branch at fire time — reject at the scheduling site instead.
+    // kNone is the unset payload no sink handles: reject it at the
+    // scheduling site rather than at fire time.
     throw std::invalid_argument("Scheduler: typed event with kind kNone");
   }
   const std::uint32_t slot = acquire_node(when);
@@ -58,8 +48,9 @@ Scheduler::EventId Scheduler::at(Time when, const EngineEvent& event) {
 
 namespace {
 [[nodiscard]] Time next_boundary_after(Time now, Time period) {
-  if (period <= 0) {
-    throw std::invalid_argument("Scheduler::at_next_boundary: period <= 0");
+  if (!std::isfinite(period) || period <= 0) {
+    throw std::invalid_argument(
+        "Scheduler::at_next_boundary: period must be finite and > 0");
   }
   // Strictly after now: a flush that runs exactly on boundary k*period and
   // generates new work must coalesce that work onto boundary (k+1)*period.
@@ -68,10 +59,6 @@ namespace {
   return when;
 }
 }  // namespace
-
-Scheduler::EventId Scheduler::at_next_boundary(Time period, Callback callback) {
-  return at(next_boundary_after(now_, period), std::move(callback));
-}
 
 Scheduler::EventId Scheduler::at_next_boundary(Time period,
                                                const EngineEvent& event) {
@@ -90,14 +77,6 @@ bool Scheduler::cancel(EventId id) {
   heap_remove(node.heap_pos);
   release_node(slot);
   return true;
-}
-
-// SPLICER_LINT_ALLOW(std-function): definition of the documented periodic-
-// tick fallback variant declared in scheduler.h; not on the hot path.
-void Scheduler::every(Time period, std::function<bool()> callback) {
-  after(period, [this, period, cb = std::move(callback)]() mutable {
-    if (cb()) every(period, std::move(cb));
-  });
 }
 
 #ifdef SPLICER_AUDIT
@@ -145,14 +124,9 @@ bool Scheduler::step() {
   // Copy the payload out before releasing: the handler may schedule new
   // events, which can recycle this slot or grow the pool.
   const EngineEvent event = node.event;
-  Callback callback = std::move(node.callback);
   heap_remove(0);
   release_node(slot);
-  if (event.kind == EngineEvent::Kind::kNone) {
-    callback();  // empty callbacks throw bad_function_call, as before
-  } else {
-    sink_->handle_event(event);
-  }
+  sink_->handle_event(event);
   return true;
 }
 

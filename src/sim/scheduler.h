@@ -8,15 +8,14 @@
 //
 // Hot-path representation: events live in a free-list pool (stable slots,
 // no per-event allocation) and are ordered by an index-based 4-ary min-heap
-// that moves 4-byte slot indices instead of whole event records. An event
-// is either a typed EngineEvent (dispatched through the registered
-// EventSink) or a std::function fallback for low-frequency work. EventIds
+// that moves 4-byte slot indices instead of whole event records. Every
+// event is a typed EngineEvent dispatched through the registered EventSink;
+// recurring work (router ticks) re-arms itself as a typed timer. EventIds
 // encode (slot, generation), so cancel() removes the event from the heap
 // eagerly — no tombstone set to sift through, and cancelling an
 // already-fired id is a detected no-op (the generation has moved on).
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/engine_event.h"
@@ -27,46 +26,31 @@ using Time = double;  // seconds
 
 class Scheduler {
  public:
-  // SPLICER_LINT_ALLOW(std-function): the documented low-frequency fallback
-  // variant (ticks, tests, tools); hot-path traffic uses typed pooled
-  // EngineEvents that never touch this type-erased path.
-  using Callback = std::function<void()>;
   using EventId = std::uint64_t;
 
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Registers the typed-event receiver. Required before scheduling any
-  /// EngineEvent; fallback callbacks work without one.
+  /// Registers the event receiver. Required before scheduling any event.
   void set_sink(EventSink* sink) noexcept { sink_ = sink; }
 
   /// Schedules at absolute time (clamped to now if in the past).
-  EventId at(Time when, Callback callback);
   EventId at(Time when, const EngineEvent& event);
 
   /// Schedules `delay` seconds from now (delay < 0 clamps to 0).
-  EventId after(Time delay, Callback callback) {
-    return at(now_ + delay, std::move(callback));
-  }
   EventId after(Time delay, const EngineEvent& event) {
     return at(now_ + delay, event);
   }
 
   /// Schedules at the next strict multiple of `period` after now — the
   /// coalescing point for per-epoch batched work: every request made inside
-  /// one epoch lands on the same boundary timestamp. period must be > 0.
-  EventId at_next_boundary(Time period, Callback callback);
+  /// one epoch lands on the same boundary timestamp. period must be finite
+  /// and > 0.
   EventId at_next_boundary(Time period, const EngineEvent& event);
 
   /// Cancels a pending event; returns false if already fired/cancelled.
   /// Eager: the event leaves the heap immediately and its pool slot is
   /// recycled (the slot's generation counter invalidates the old id).
   bool cancel(EventId id);
-
-  /// Schedules `callback` every `period` seconds starting at now+period,
-  /// until it returns false.
-  // SPLICER_LINT_ALLOW(std-function): periodic ticks fire a handful of times
-  // per simulated second — the documented fallback variant, not the hot path.
-  void every(Time period, std::function<bool()> callback);
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
@@ -91,7 +75,6 @@ class Scheduler {
     std::uint32_t heap_pos = kNullIndex;  // kNullIndex when free
     std::uint32_t next_free = kNullIndex;
     EngineEvent event;
-    Callback callback;  // non-empty = fallback dispatch
   };
 
   [[nodiscard]] static constexpr std::uint32_t slot_of(EventId id) noexcept {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+
 #include "graph/generators.h"
 
 namespace splicer::routing {
@@ -25,9 +29,14 @@ class ScriptedRouter : public Router {
   void on_tu_failed(Engine&, const TransactionUnit& tu, FailReason reason) override {
     failed.emplace_back(tu, reason);
   }
+  void on_timer(Engine& engine, std::uint64_t, std::uint64_t) override {
+    if (timer) timer(engine);
+  }
 
   std::vector<TransactionUnit> delivered;
   std::vector<std::pair<TransactionUnit, FailReason>> failed;
+  /// Runs when a timer armed through Engine::schedule_timer fires.
+  std::function<void(Engine&)> timer;
 
  private:
   Script script_;
@@ -148,13 +157,13 @@ TEST(Engine, QueueModeHoldsThenDelivers) {
 
   ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
     engine.send_tu(two_hop_tu(engine.network(), p.id, p.value));
-    engine.scheduler().after(0.1, [&engine] {
-      auto& blocked =
-          engine.network().channel(engine.network().topology().find_edge(1, 2));
-      blocked.refund(blocked.direction_from(1), whole_tokens(10));
-      // Nudge the queue (normally settles/refunds inside the engine do it).
-    });
+    engine.schedule_timer(0.1, 0);
   });
+  router.timer = [](Engine& engine) {
+    auto& blocked =
+        engine.network().channel(engine.network().topology().find_edge(1, 2));
+    blocked.refund(blocked.direction_from(1), whole_tokens(10));
+  };
   EngineConfig config;
   config.queues_enabled = true;
   config.queue_delay_threshold_s = 5.0;  // do not mark in this test
@@ -372,30 +381,35 @@ TEST(Engine, MetricsCountsGeneratedAndValue) {
   EXPECT_DOUBLE_EQ(m.normalized_throughput(), 0.0);
 }
 
-TEST(Engine, UnknownPaymentIdStillThrowsWithRetentionOn) {
-  // The orphan-tolerant TU paths only apply under eviction; with
-  // retain_resolved (default) nothing is ever evicted, so a miss is a
-  // router bug and must keep the historical out_of_range throw.
+TEST(Engine, UnknownPaymentIdLookups) {
+  // The strict lookup throws on an id the engine never saw; the checked
+  // lookup (the one routers use from contexts that can outlive a payment)
+  // reports it as absent.
   ScriptedRouter router([](Engine& engine, const pcn::Payment& payment) {
     EXPECT_THROW((void)engine.payment_state(payment.id + 999),
                  std::out_of_range);
     EXPECT_EQ(engine.find_payment_state(payment.id + 999), nullptr);
-    EXPECT_THROW(engine.fail_payment(payment.id + 999, FailReason::kNoPath),
-                 std::out_of_range);
-    TransactionUnit tu;
-    tu.payment = payment.id + 999;
-    tu.value = payment.value;
-    tu.path.nodes = {0, 1};
-    tu.path.edges = {0};
-    tu.hop_amounts = {payment.value};
-    EXPECT_THROW(engine.send_tu(std::move(tu)), std::out_of_range);
     engine.fail_payment(payment.id, FailReason::kNoPath);
   });
   Engine engine(line_network(), {make_payment(1, 0, 2, whole_tokens(1))},
                 router, {});
   const auto m = engine.run();
   EXPECT_EQ(m.payments_failed, 1u);
-  EXPECT_EQ(m.states_evicted, 0u);
+  EXPECT_EQ(m.states_evicted, 1u);
+}
+
+TEST(Engine, RejectsNonFiniteSettlementEpoch) {
+  // NaN would fail every `epoch > 0` test and silently run per-hop mode.
+  ScriptedRouter router([](Engine&, const pcn::Payment&) {});
+  for (const double epoch : {std::nan(""),
+                             std::numeric_limits<double>::infinity()}) {
+    EngineConfig config;
+    config.settlement_epoch_s = epoch;
+    EXPECT_THROW(Engine(line_network(), {make_payment(1, 0, 2, whole_tokens(1))},
+                        router, config),
+                 std::invalid_argument)
+        << epoch;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "graph/generators.h"
 #include "routing/a2l_router.h"
@@ -14,6 +18,7 @@
 #include "routing/shortest_path_router.h"
 #include "routing/spider_router.h"
 #include "routing/splicer_router.h"
+#include "router_decorator.h"
 
 namespace splicer::routing {
 namespace {
@@ -239,45 +244,23 @@ TEST(A2lRouterTest, NonStarEndpointFails) {
             1u);
 }
 
-/// Forwards every hook to `inner` and records the largest number of
-/// payments it tracked when a resolution hook arrived, so a leak check can
-/// tell "emptied by the hook" from "never tracked anything".
+/// Records the largest number of payments the wrapped router tracked when
+/// a resolution hook arrived, so a leak check can tell "emptied by the
+/// hook" from "never tracked anything".
 template <typename Inner>
-class TrackingProbe final : public Router {
+class TrackingProbe final : public RouterDecorator {
  public:
-  explicit TrackingProbe(Inner& inner) : inner_(inner), hooks_(inner) {}
-  [[nodiscard]] std::string name() const override { return hooks_.name(); }
-  void on_start(Engine& e) override { hooks_.on_start(e); }
-  void on_payment(Engine& e, const pcn::Payment& p) override {
-    hooks_.on_payment(e, p);
-  }
-  void on_tu_delivered(Engine& e, const TransactionUnit& tu) override {
-    hooks_.on_tu_delivered(e, tu);
-  }
-  void on_tu_failed(Engine& e, const TransactionUnit& tu,
-                    FailReason reason) override {
-    hooks_.on_tu_failed(e, tu, reason);
-  }
-  void on_tu_forwarded(Engine& e, const TransactionUnit& tu, ChannelId c,
-                       pcn::Direction d) override {
-    hooks_.on_tu_forwarded(e, tu, c, d);
-  }
-  void on_payment_timeout(Engine& e, PaymentId p) override {
-    hooks_.on_payment_timeout(e, p);
-  }
+  explicit TrackingProbe(Inner& inner)
+      : RouterDecorator(inner), tracked_(inner) {}
   void on_payment_resolved(Engine& e, PaymentId p) override {
-    peak_tracked = std::max(peak_tracked, inner_.tracked_payments());
-    hooks_.on_payment_resolved(e, p);
-  }
-  void on_timer(Engine& e, std::uint64_t a, std::uint64_t b) override {
-    hooks_.on_timer(e, a, b);
+    peak_tracked = std::max(peak_tracked, tracked_.tracked_payments());
+    RouterDecorator::on_payment_resolved(e, p);
   }
 
   std::size_t peak_tracked = 0;
 
  private:
-  const Inner& inner_;
-  Router& hooks_;  // the same router, through its public hook interface
+  const Inner& tracked_;
 };
 
 template <typename Inner>
@@ -296,9 +279,9 @@ void expect_no_tracked_payments_after_run(Inner& inner,
 }
 
 TEST(RouterResolvedHook, PerPaymentMapsAreEmptyAfterTheRun) {
-  // Router::on_payment_resolved fires for every payment at quiescence, so
-  // no router-side per-payment map may outlive its payment — whether the
-  // engine retains resolved states or evicts them.
+  // Router::on_payment_resolved fires for every payment at quiescence,
+  // right before the engine evicts its state, so no router-side
+  // per-payment map may outlive its payment.
   ScenarioConfig scenario_config;
   scenario_config.seed = 55;
   scenario_config.topology.nodes = 60;
@@ -306,28 +289,131 @@ TEST(RouterResolvedHook, PerPaymentMapsAreEmptyAfterTheRun) {
   scenario_config.workload.payment_count = 150;
   scenario_config.workload.horizon_seconds = 6.0;
   const auto scenario = prepare_scenario(scenario_config);
-  for (const bool retain : {true, false}) {
-    const std::string mode = retain ? " retain" : " evict";
-    EngineConfig config;
-    config.retain_resolved = retain;
-    {
-      config.queues_enabled = true;
-      SplicerRouter router(scenario.multi_star.hub_of, scenario.multi_star.hubs,
-                           SplicerRouter::Config{});
-      expect_no_tracked_payments_after_run(
-          router, scenario.multi_star.network, scenario, config,
-          "Splicer" + mode);
+  EngineConfig config;
+  {
+    config.queues_enabled = true;
+    SplicerRouter router(scenario.multi_star.hub_of, scenario.multi_star.hubs,
+                         SplicerRouter::Config{});
+    expect_no_tracked_payments_after_run(
+        router, scenario.multi_star.network, scenario, config, "Splicer");
+  }
+  config.queues_enabled = false;
+  {
+    FlashRouter router;
+    expect_no_tracked_payments_after_run(router, scenario.raw, scenario,
+                                         config, "Flash");
+  }
+  {
+    LandmarkRouter router;
+    expect_no_tracked_payments_after_run(router, scenario.raw, scenario,
+                                         config, "Landmark");
+  }
+}
+
+/// Records, for each recurring tick that fires, the clock and whether the
+/// run was already past its horizon.
+class TickProbe final : public RouterDecorator {
+ public:
+  struct Tick {
+    std::uint64_t tag;
+    double now;
+    bool past_horizon;
+  };
+
+  using RouterDecorator::RouterDecorator;
+  void on_timer(Engine& e, std::uint64_t a, std::uint64_t b) override {
+    if (b == RateRouterBase::kPriceTickTimer ||
+        b == RateRouterBase::kSyncTickTimer) {
+      ticks.push_back(Tick{b, e.now(), e.past_horizon()});
     }
-    config.queues_enabled = false;
+    RouterDecorator::on_timer(e, a, b);
+  }
+
+  std::vector<Tick> ticks;
+};
+
+/// Checks one tick stream: it fires every `period` from `period` on, runs
+/// while the run is inside its horizon, and its one firing past the
+/// horizon is its last (it does not re-arm).
+void expect_tick_stops_past_horizon(const std::vector<TickProbe::Tick>& ticks,
+                                    std::uint64_t tag, double period,
+                                    const std::string& label) {
+  std::vector<TickProbe::Tick> mine;
+  for (const auto& t : ticks) {
+    if (t.tag == tag) mine.push_back(t);
+  }
+  ASSERT_GE(mine.size(), 2u) << label;
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    EXPECT_NEAR(mine[i].now, static_cast<double>(i + 1) * period, 1e-9)
+        << label << " tick " << i;
+    EXPECT_EQ(mine[i].past_horizon, i + 1 == mine.size())
+        << label << " tick " << i;
+  }
+}
+
+TEST(RateRouterTicks, StopReArmingOncePastTheHorizon) {
+  const auto net = rich_ws_network(3, 20);
+  const auto payments = single_payment(1, 10, whole_tokens(5));
+  {
+    SplicerRouter::Config config;
+    config.protocol.tau_s = 0.2;
+    config.epoch_s = 1.0;
+    std::vector<NodeId> hub_of(net.node_count(), 0);
+    SplicerRouter splicer(hub_of, {0}, config);
+    TickProbe probe(splicer);
+    Engine engine(net, payments, probe);
+    (void)engine.run();
+    // Nothing re-armed: no tick is left pending once the run ends.
+    EXPECT_TRUE(engine.scheduler().empty());
+    expect_tick_stops_past_horizon(probe.ticks, RateRouterBase::kPriceTickTimer,
+                                   0.2, "Splicer price tick");
+    expect_tick_stops_past_horizon(probe.ticks, RateRouterBase::kSyncTickTimer,
+                                   1.0, "Splicer sync tick");
+  }
+  {
+    auto config = SpiderRouter::make_default_config();
+    config.protocol.tau_s = 0.3;
+    SpiderRouter spider(config);
+    TickProbe probe(spider);
+    Engine engine(net, payments, probe);
+    (void)engine.run();
+    EXPECT_TRUE(engine.scheduler().empty());
+    expect_tick_stops_past_horizon(probe.ticks, RateRouterBase::kPriceTickTimer,
+                                   0.3, "Spider price tick");
+  }
+}
+
+TEST(RateRouterTicks, RejectBadTickPeriods) {
+  // A zero, negative or NaN period would re-arm its tick at the same
+  // instant forever: the router refuses it where the tick is armed, in
+  // on_start (begin_run), so a regression fails here instead of hanging.
+  const auto net = rich_ws_network(3, 20);
+  const auto payments = single_payment(1, 10, whole_tokens(5));
+  const std::vector<NodeId> hub_of(net.node_count(), 0);
+  for (const double bad : {0.0, -5.0, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
     {
-      FlashRouter router;
-      expect_no_tracked_payments_after_run(router, scenario.raw, scenario,
-                                           config, "Flash" + mode);
+      SplicerRouter::Config config;
+      config.protocol.tau_s = bad;
+      SplicerRouter router(hub_of, {0}, config);
+      Engine engine(net, payments, router);
+      EXPECT_THROW(engine.begin_run(), std::invalid_argument) << "tau " << bad;
     }
     {
-      LandmarkRouter router;
-      expect_no_tracked_payments_after_run(router, scenario.raw, scenario,
-                                           config, "Landmark" + mode);
+      SplicerRouter::Config config;
+      config.epoch_s = bad;
+      SplicerRouter router(hub_of, {0}, config);
+      Engine engine(net, payments, router);
+      EXPECT_THROW(engine.begin_run(), std::invalid_argument)
+          << "epoch " << bad;
+    }
+    {
+      auto config = SpiderRouter::make_default_config();
+      config.protocol.tau_s = bad;
+      SpiderRouter router(config);
+      Engine engine(net, payments, router);
+      EXPECT_THROW(engine.begin_run(), std::invalid_argument)
+          << "spider tau " << bad;
     }
   }
 }

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "graph/generators.h"
 #include "routing/engine.h"
 #include "routing/shortest_path_router.h"
 #include "routing/splicer_router.h"
+#include "router_decorator.h"
 
 namespace splicer::routing {
 namespace {
@@ -52,11 +54,32 @@ struct StreamStats {
   double last_completion = 0.0;
 };
 
-StreamStats analyze(Engine& engine, const std::vector<pcn::Payment>& payments) {
+/// Records each payment's outcome as it resolves: the engine evicts
+/// resolved states, so a post-run scan over payment_state() would find
+/// nothing.
+class OutcomeRecorder final : public RouterDecorator {
+ public:
+  struct Outcome {
+    bool completed = false;
+    double completion_time = 0.0;
+  };
+
+  using RouterDecorator::RouterDecorator;
+  void on_payment_resolved(Engine& e, PaymentId p) override {
+    const auto& state = e.payment_state(p);
+    outcomes[p] = Outcome{state.completed, state.completion_time};
+    RouterDecorator::on_payment_resolved(e, p);
+  }
+
+  std::map<PaymentId, Outcome> outcomes;
+};
+
+StreamStats analyze(const OutcomeRecorder& recorder,
+                    const std::vector<pcn::Payment>& payments) {
   StreamStats stats;
   for (const auto& p : payments) {
-    const auto& st = engine.payment_state(p.id);
-    const bool done = st.completed;
+    const auto& outcome = recorder.outcomes.at(p.id);  // every payment resolves
+    const bool done = outcome.completed;
     if (p.sender == 0) {
       ++stats.total_ab;
       stats.completed_ab += done;
@@ -67,7 +90,10 @@ StreamStats analyze(Engine& engine, const std::vector<pcn::Payment>& payments) {
       ++stats.total_ba;
       stats.completed_ba += done;
     }
-    if (done) stats.last_completion = std::max(stats.last_completion, st.completion_time);
+    if (done) {
+      stats.last_completion =
+          std::max(stats.last_completion, outcome.completion_time);
+    }
   }
   return stats;
 }
@@ -75,11 +101,12 @@ StreamStats analyze(Engine& engine, const std::vector<pcn::Payment>& payments) {
 TEST(Fig1Deadlock, NaiveRoutingDeadlocksCompletely) {
   const auto payments = fig1_streams(30.0);
   ShortestPathRouter naive;
+  OutcomeRecorder recorder(naive);
   EngineConfig config;
   config.queues_enabled = false;
-  Engine engine(fig1_network(), payments, naive, config);
+  Engine engine(fig1_network(), payments, recorder, config);
   const auto m = engine.run();
-  const auto stats = analyze(engine, payments);
+  const auto stats = analyze(recorder, payments);
 
   // The imbalanced rates drain C: after ~10 s nothing completes, even the
   // balanced A<->B streams with ample total funds ("local deadlock").
@@ -97,11 +124,12 @@ TEST(Fig1Deadlock, SplicerSustainsBalancedFlows) {
   rc.protocol.k_paths = 1;
   rc.protocol.initial_rate_tps = 20.0;  // proportionate to 20-token channels
   SplicerRouter splicer({2, 2, 2}, {2}, rc);
+  OutcomeRecorder recorder(splicer);
   EngineConfig config;
   config.queues_enabled = true;
-  Engine engine(fig1_network(), payments, splicer, config);
+  Engine engine(fig1_network(), payments, recorder, config);
   const auto m = engine.run();
-  const auto stats = analyze(engine, payments);
+  const auto stats = analyze(recorder, payments);
 
   // The fluid-model optimum here is 2 tokens/s: A->B and B->A at 1 each
   // (paper SS II-B), i.e. TSR = 60/150 = 40%. Splicer's discrete protocol

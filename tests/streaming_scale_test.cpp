@@ -1,12 +1,11 @@
 // The streaming-scale contract: a 10^6-payment run completes without ever
 // materialising the workload — the engine pulls one payment at a time, and
 // EngineMetrics::peak_payment_buffer proves the arrival pipeline stayed at
-// the concurrency level, not the total size. The retention contract
-// (ISSUE 4) extends this to the resolved side: with
-// EngineConfig::retain_resolved = false, resolved PaymentStates are evicted
-// once unreferenced, so peak_resident_states also stays at the concurrency
-// level while states_evicted counts every payment — and every reported
-// metric is identical to the retained run.
+// the concurrency level, not the total size. Eviction extends this to the
+// resolved side: resolved PaymentStates are evicted once unreferenced, so
+// peak_resident_states also stays at the concurrency level while
+// states_evicted counts every payment — and every reported metric equals
+// the frozen reference of a run that retained every state.
 
 #include <gtest/gtest.h>
 
@@ -70,6 +69,14 @@ TEST(StreamingScale, MillionPaymentRunNeverMaterialisesTheWorkload) {
   // never holds more than the one look-ahead pull plus the arriving
   // payment.
   EXPECT_LE(metrics.peak_payment_buffer, 2u);
+  // Every state is evicted once its (no-op) deadline event fires, so the
+  // resident set is bounded by the ~100/s arrival rate times the 3 s
+  // payment timeout — the concurrency level, never the 10^6 total.
+  EXPECT_EQ(metrics.states_evicted, 1'000'000u);
+  EXPECT_LT(metrics.peak_resident_states, 2'000u);
+  EXPECT_GT(metrics.peak_resident_states, 0u);
+  // The streamed accumulators carry the resolved outcomes.
+  EXPECT_EQ(metrics.tus_per_payment_stats.count(), 1'000'000u);
 }
 
 TEST(StreamingScale, BusyStreamingRunKeepsTheBufferAtConcurrencyLevel) {
@@ -94,33 +101,19 @@ TEST(StreamingScale, BusyStreamingRunKeepsTheBufferAtConcurrencyLevel) {
   EXPECT_LT(metrics.peak_payment_buffer, 5'000u);
 }
 
-TEST(StreamingScale, EvictingMillionPaymentRunHoldsOnlyTheActiveWindow) {
-  pcn::WorkloadConfig config;
-  config.payment_count = 1'000'000;
-  config.horizon_seconds = 10'000.0;
-  config.streaming = true;
-
-  auto source = std::make_unique<pcn::SyntheticSource>(
-      std::vector<pcn::NodeId>{0, 1}, config, common::Rng(123));
-
-  RejectingRouter router;
-  EngineConfig engine_config;
-  engine_config.retain_resolved = false;
-  Engine engine(pair_network(common::whole_tokens(100)), std::move(source),
-                router, engine_config);
-  const auto metrics = engine.run();
-
-  EXPECT_EQ(metrics.payments_generated, 1'000'000u);
-  EXPECT_EQ(metrics.payments_failed, 1'000'000u);
-  // Every state is evicted once its (no-op) deadline event fires, so the
-  // resident set is bounded by the ~100/s arrival rate times the 3 s
-  // payment timeout — the concurrency level, never the 10^6 total.
-  EXPECT_EQ(metrics.states_evicted, 1'000'000u);
-  EXPECT_LT(metrics.peak_resident_states, 2'000u);
-  EXPECT_GT(metrics.peak_resident_states, 0u);
-  // The streamed accumulators carry the resolved outcomes.
-  EXPECT_EQ(metrics.tus_per_payment_stats.count(), 1'000'000u);
-}
+/// Metrics of the 20k-payment forwarding run recorded when the engine
+/// could still retain every resolved PaymentState.
+struct RetainedReference {
+  double epoch_s;
+  std::size_t completed;
+  std::size_t failed;
+  common::Amount value_completed;
+  double tsr;
+  double average_delay_s;
+  double delay_sum;
+  std::uint64_t messages;
+  std::uint64_t scheduler_events;
+};
 
 TEST(StreamingScale, EvictionAndRetentionReportIdenticalMetrics) {
   pcn::WorkloadConfig config;
@@ -130,46 +123,46 @@ TEST(StreamingScale, EvictionAndRetentionReportIdenticalMetrics) {
 
   // Both engine modes: exact per-hop settlement and the batched epoch path
   // (deferred eviction through cancelled deadline events + epoch buffers).
-  for (const double epoch_s : {0.0, 0.01}) {
-    const auto run = [&](bool retain) {
-      auto source = std::make_unique<pcn::SyntheticSource>(
-          std::vector<pcn::NodeId>{0, 1}, config, common::Rng(9));
-      ForwardingRouter router;
-      EngineConfig engine_config;
-      engine_config.retain_resolved = retain;
-      engine_config.settlement_epoch_s = epoch_s;
-      Engine engine(pair_network(common::whole_tokens(500'000)),
-                    std::move(source), router, engine_config);
-      return engine.run();
-    };
-    const auto retained = run(true);
-    const auto evicted = run(false);
+  // Every payment is one single-hop TU, so TUs track payments one to one
+  // and every failure is a timeout.
+  constexpr RetainedReference kReference[] = {
+      {0.0, 15331, 4669, 1296039325, 0.76654999999999995,
+       0.054239741943200748, 831.54948373121067, 90662, 107195},
+      {0.01, 13822, 6178, 1176338463, 0.69110000000000005,
+       0.048513026307245327, 670.54704961874495, 87644, 65864},
+  };
+  for (const auto& ref : kReference) {
+    auto source = std::make_unique<pcn::SyntheticSource>(
+        std::vector<pcn::NodeId>{0, 1}, config, common::Rng(9));
+    ForwardingRouter router;
+    EngineConfig engine_config;
+    engine_config.settlement_epoch_s = ref.epoch_s;
+    Engine engine(pair_network(common::whole_tokens(500'000)),
+                  std::move(source), router, engine_config);
+    const auto evicted = engine.run();
 
     // Identical event streams: every reported metric matches bit for bit.
-    EXPECT_EQ(retained.payments_generated, evicted.payments_generated);
-    EXPECT_EQ(retained.payments_completed, evicted.payments_completed);
-    EXPECT_EQ(retained.payments_failed, evicted.payments_failed);
-    EXPECT_EQ(retained.value_completed, evicted.value_completed);
-    EXPECT_DOUBLE_EQ(retained.tsr(), evicted.tsr());
-    EXPECT_DOUBLE_EQ(retained.average_delay_s(), evicted.average_delay_s());
-    EXPECT_DOUBLE_EQ(retained.completion_delay_stats.sum(),
-                     evicted.completion_delay_stats.sum());
-    EXPECT_DOUBLE_EQ(retained.tus_per_payment_stats.mean(),
-                     evicted.tus_per_payment_stats.mean());
-    EXPECT_EQ(retained.failed_delivered_value, evicted.failed_delivered_value);
-    EXPECT_EQ(retained.tus_sent, evicted.tus_sent);
-    EXPECT_EQ(retained.tus_delivered, evicted.tus_delivered);
-    EXPECT_EQ(retained.tus_failed, evicted.tus_failed);
-    EXPECT_EQ(retained.messages.total(), evicted.messages.total());
-    EXPECT_EQ(retained.scheduler_events, evicted.scheduler_events);
-    EXPECT_EQ(retained.payment_fail_reasons, evicted.payment_fail_reasons);
+    EXPECT_EQ(evicted.payments_generated, 20'000u);
+    EXPECT_EQ(evicted.payments_completed, ref.completed);
+    EXPECT_EQ(evicted.payments_failed, ref.failed);
+    EXPECT_EQ(evicted.value_completed, ref.value_completed);
+    EXPECT_DOUBLE_EQ(evicted.tsr(), ref.tsr);
+    EXPECT_DOUBLE_EQ(evicted.average_delay_s(), ref.average_delay_s);
+    EXPECT_DOUBLE_EQ(evicted.completion_delay_stats.sum(), ref.delay_sum);
+    EXPECT_DOUBLE_EQ(evicted.tus_per_payment_stats.mean(), 1.0);
+    EXPECT_EQ(evicted.failed_delivered_value, 0);
+    EXPECT_EQ(evicted.tus_sent, 20'000u);
+    EXPECT_EQ(evicted.tus_delivered, ref.completed);
+    EXPECT_EQ(evicted.tus_failed, ref.failed);
+    EXPECT_EQ(evicted.messages.total(), ref.messages);
+    EXPECT_EQ(evicted.scheduler_events, ref.scheduler_events);
+    std::array<std::uint64_t, kFailReasonCount> reasons{};
+    reasons[static_cast<std::size_t>(FailReason::kTimeout)] = ref.failed;
+    EXPECT_EQ(evicted.payment_fail_reasons, reasons);
 
-    // Only the memory profile differs.
-    EXPECT_EQ(retained.states_evicted, 0u);
-    EXPECT_EQ(retained.peak_resident_states, retained.payments_generated);
+    // Only the memory profile differs: the retained run held all 20k.
     EXPECT_EQ(evicted.states_evicted, evicted.payments_generated);
     EXPECT_LT(evicted.peak_resident_states, 5'000u);
-    EXPECT_LT(evicted.peak_resident_states, retained.peak_resident_states);
   }
 }
 

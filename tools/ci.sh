@@ -22,10 +22,10 @@
 # records the events/sec trajectory of the event loop.
 #
 # Finally the workload subsystem smokes: a trace replay of the checked-in
-# example trace through splicer_cli, plus streaming bursty/hotspot runs and
-# a streaming --no-retain run (the retention contract), and an ASan+UBSan
-# build of the smoke-label ctest subset so eviction-order bugs surface as
-# hard errors instead of flakes.
+# example trace through splicer_cli, plus streaming bursty/hotspot runs, a
+# check that a default (materialised) run evicts resolved payment states,
+# and an ASan+UBSan build of the smoke-label ctest subset so eviction-order
+# bugs surface as hard errors instead of flakes.
 #
 # A SPLICER_AUDIT=ON build then runs the smoke-label suites with the
 # scheduler heap-order witness compiled in — the runtime backstop for what
@@ -150,14 +150,6 @@ echo "CI: streaming bursty + hotspot smokes"
 "$BUILD_DIR/splicer_cli" compare --nodes 60 --payments 300 \
   --workload hotspot --trials 2 > "$SMOKE_DIR/hotspot.txt"
 
-echo "CI: retention-contract smoke (streaming + --no-retain evicts states)"
-"$BUILD_DIR/splicer_cli" compare --nodes 60 --payments 300 \
-  --streaming --no-retain > "$SMOKE_DIR/no_retain.txt"
-# The evicted column (last) of the Splicer row must be nonzero — matching
-# the header alone would pass even if eviction silently became a no-op.
-awk '$1 == "Splicer" { found = ($NF + 0) > 0 } END { exit !found }' \
-  "$SMOKE_DIR/no_retain.txt"
-
 echo "CI: hostile-world robustness bench (wedge-free fault/churn/policy sweep)"
 SPLICER_BENCH_FAST=1 "$BUILD_DIR/bench_fig_robustness" \
   --json "$BUILD_DIR/BENCH_fig_robustness.json" > "$SMOKE_DIR/robustness.txt"
@@ -174,6 +166,12 @@ echo "CI: hostile-world rate-0 byte-identity (explicit zero-rate flags)"
 "$BUILD_DIR/splicer_cli" compare --nodes 60 --payments 300 \
   --fault-rate 0 --churn-rate 0 --fee-policy 0 > "$SMOKE_DIR/rate0.txt"
 diff "$SMOKE_DIR/benign.txt" "$SMOKE_DIR/rate0.txt"
+
+echo "CI: eviction smoke (a default materialised run evicts resolved states)"
+# The evicted column (last) of the Splicer row must be nonzero — matching
+# the header alone would pass even if eviction silently became a no-op.
+awk '$1 == "Splicer" { found = ($NF + 0) > 0 } END { exit !found }' \
+  "$SMOKE_DIR/benign.txt"
 
 echo "CI: hostile-world CLI smoke (active mutators + timelock budget)"
 "$BUILD_DIR/splicer_cli" compare --nodes 60 --payments 300 \

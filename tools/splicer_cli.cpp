@@ -5,7 +5,7 @@
 //                        [--candidates N] [--omega W] [--horizon S]
 //                        [--threads N] [--trials K] [--settlement-epoch MS]
 //                        [--workload synthetic|trace|bursty|hotspot]
-//                        [--trace-file CSV] [--streaming] [--no-retain]
+//                        [--trace-file CSV] [--streaming]
 //                        [--burst-period S] [--burst-amplitude A]
 //                        [--shift-interval S]
 //                        [--fault-rate R] [--churn-rate R] [--fee-policy R]
@@ -17,10 +17,11 @@
 //       settlements per (channel, direction) per epoch (0 = exact per-hop).
 //       --workload picks the traffic source (trace replays a
 //       time,sender,receiver,amount CSV); --streaming makes every engine
-//       run pull payments lazily instead of materialising the workload
-//       AND evicts resolved payment states (the retention contract: a
-//       streaming run holds O(concurrency) states, see the "resident"
-//       column); --no-retain forces eviction for materialised runs too.
+//       run pull payments lazily instead of materialising the workload.
+//       Every run evicts resolved payment states, so it holds
+//       O(concurrency) of them (the "resident" column; "evicted" counts
+//       the evictions). --tau must be finite and > 0, --settlement-epoch
+//       finite.
 //       The hostile-world knobs (all default off; see README "Hostile-world
 //       scenarios") inject Poisson faults/churn/policy rewrites:
 //       --fault-rate/--churn-rate/--fee-policy are events per second and
@@ -38,7 +39,9 @@
 //
 // Every subcommand accepts only the keys listed for it. An unknown key, a
 // key missing its value, or a number that does not parse in full prints
-// the offending key plus the usage text and exits with status 2.
+// the offending key plus the usage text and exits with status 2; a value
+// the configuration rejects (e.g. --tau 0, --fault-rate -1) prints the
+// reason and exits with status 2 too.
 
 #include <algorithm>
 #include <cerrno>
@@ -219,11 +222,6 @@ int cmd_compare(const Args& args) {
   scheme_config.protocol.tau_s = args.real("tau", 200.0) / 1000.0;
   scheme_config.engine.settlement_epoch_s =
       args.real("settlement-epoch", 0.0) / 1000.0;
-  // Retention contract: streaming runs evict resolved payment states (the
-  // unbounded-run memory model); --no-retain forces eviction for
-  // materialised runs too. Metrics are identical either way.
-  scheme_config.engine.retain_resolved =
-      !args.flag("no-retain") && !config.workload.streaming;
   // Hostile-world scenario pack: Poisson fault/churn/policy mutation
   // streams. All default off, in which case the run is byte-identical to
   // a benign one (no mutators are built at all).
@@ -413,10 +411,10 @@ constexpr Option kCompareOptions[] = {
     {"threads", Value::kCount},        {"trials", Value::kCount},
     {"settlement-epoch", Value::kReal}, {"workload", Value::kText},
     {"trace-file", Value::kText},      {"streaming", Value::kFlag},
-    {"no-retain", Value::kFlag},       {"burst-period", Value::kReal},
-    {"burst-amplitude", Value::kReal}, {"shift-interval", Value::kReal},
-    {"fault-rate", Value::kReal},      {"churn-rate", Value::kReal},
-    {"fee-policy", Value::kReal},      {"timelock-budget", Value::kCount},
+    {"burst-period", Value::kReal},    {"burst-amplitude", Value::kReal},
+    {"shift-interval", Value::kReal},  {"fault-rate", Value::kReal},
+    {"churn-rate", Value::kReal},      {"fee-policy", Value::kReal},
+    {"timelock-budget", Value::kCount},
 };
 constexpr Option kPlaceOptions[] = {
     {"seed", Value::kCount},  {"nodes", Value::kCount},
@@ -488,6 +486,10 @@ int main(int argc, char** argv) {
   } catch (const UsageError& error) {
     std::cerr << "splicer_cli " << name << ": " << error.what() << "\n";
     usage(std::cerr);
+    return 2;
+  } catch (const std::invalid_argument& error) {
+    // Config validation (workload, hostile knobs, engine, router ticks).
+    std::cerr << "splicer_cli " << name << ": " << error.what() << "\n";
     return 2;
   }
 }

@@ -37,8 +37,9 @@ const std::vector<RuleInfo>& rule_table() {
        "no range-for/.begin() iteration over unordered containers unless "
        "annotated or rewritten over ordered/sorted containers"},
       {"std-function", "src/",
-       "common::SmallFunction instead of std::function; the documented "
-       "fallback variants are annotated in-source"},
+       "common::SmallFunction instead of std::function; the one exception, "
+       "the offline placement oracle (submodular::SetFunction), is "
+       "annotated in-source"},
       {"slab-alias", "src/routing",
        "no retained reference into Engine slab state across a relocation "
        "point (send_tu/fail_payment); no send_tu from on_tu_forwarded"},
@@ -421,9 +422,9 @@ void check_std_function(std::string_view path,
     if (std::regex_search(lines[i].code, kStdFunction)) {
       add(out, path, static_cast<int>(i) + 1, "std-function",
           "std::function in src/: heap-allocating type erasure is banned on "
-          "simulation paths — use common::SmallFunction, or annotate a "
-          "documented fallback with SPLICER_LINT_ALLOW(std-function): "
-          "<reason>");
+          "simulation paths — use common::SmallFunction (or a typed "
+          "scheduler event), or annotate code that never runs during a "
+          "simulation with SPLICER_LINT_ALLOW(std-function): <reason>");
     }
   }
 }
@@ -433,12 +434,12 @@ void check_slab_alias(std::string_view path,
                       std::vector<Finding>& out) {
   // Bindings whose RHS reaches into the Engine's DenseIdMap slabs.
   static const std::regex kSlabSource(
-      R"(\b(?:find_payment_state|payment_state|state_or_orphan)\s*\()");
+      R"(\b(?:find_payment_state|payment_state)\s*\()");
   // `& name = rhs` / `* name = rhs` declarations (references or pointers).
   static const std::regex kRefBind(R"([&*]\s*([A-Za-z_]\w*)\s*=\s*([^;]*))");
   // Plain re-assignment of an existing pointer variable: `name = ...slab...`.
   static const std::regex kAssign(
-      R"(\b([A-Za-z_]\w*)\s*=\s*[^;=]*\b(?:find_payment_state|payment_state|state_or_orphan)\s*\()");
+      R"(\b([A-Za-z_]\w*)\s*=\s*[^;=]*\b(?:find_payment_state|payment_state)\s*\()");
   // Relocation points: calls (not declarations/definitions) that can grow,
   // relocate or evict slab slots.
   static const std::regex kReloc(R"((^|[^:\w])(send_tu|fail_payment)\s*\()");

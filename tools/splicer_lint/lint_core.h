@@ -33,10 +33,10 @@
 //                    over an ordered/sorted container.
 //   std-function     std::function is banned in src/ (SBO-free type
 //                    erasure heap-allocates on the hot path); use
-//                    common::SmallFunction, or annotate the documented
-//                    fallback variants.
+//                    common::SmallFunction, or annotate code that never
+//                    runs during a simulation (the placement oracle).
 //   slab-alias       a reference/pointer bound to Engine slab state
-//                    (find_payment_state / payment_state / state_or_orphan)
+//                    (find_payment_state / payment_state)
 //                    must not be used after a slab relocation point
 //                    (send_tu / fail_payment) in the same scope, and
 //                    send_tu must never be dispatched from inside
