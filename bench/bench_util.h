@@ -16,9 +16,6 @@
 //   SPLICER_BENCH_TRACE=path      trace CSV for SPLICER_BENCH_WORKLOAD=trace
 //   SPLICER_BENCH_STREAMING=1     engines pull payments lazily (no
 //                                 materialised workload vector)
-//   SPLICER_FULL_RECOMPUTE=1      force the legacy full rate-control tick
-//                                 (parity gate for the incremental tick;
-//                                 outputs byte-identical, only slower)
 
 #include <cstdlib>
 #include <cstring>
@@ -76,16 +73,6 @@ inline std::size_t trial_count(int argc, char** argv) {
   const char* v = std::getenv("SPLICER_BENCH_TRIALS");
   return v != nullptr ? std::max<std::size_t>(1, std::strtoull(v, nullptr, 10))
                       : 1;
-}
-
-/// Incremental-tick parity knob: SPLICER_FULL_RECOMPUTE=1 forces rate
-/// routers into the legacy full per-tick sweep
-/// (EngineConfig::full_recompute_ticks). CI diffs a forced-full fig7 run
-/// against the default incremental run byte for byte; results are
-/// identical either way, only wall time differs.
-inline bool full_recompute_mode() {
-  const char* v = std::getenv("SPLICER_FULL_RECOMPUTE");
-  return v != nullptr && v[0] == '1';
 }
 
 /// Scales a payment count down in fast mode.

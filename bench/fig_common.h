@@ -40,7 +40,6 @@ inline void run_figure(const std::string& figure, routing::ScenarioConfig base,
   // exact per-hop engine path (byte-identical tables).
   routing::SchemeConfig base_scheme_config;
   base_scheme_config.engine.settlement_epoch_s = settlement_epoch_s;
-  base_scheme_config.engine.full_recompute_ticks = full_recompute_mode();
 
   const auto scheme_header = [&] {
     std::vector<std::string> header{"sweep"};

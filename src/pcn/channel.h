@@ -91,11 +91,7 @@ class Channel {
   /// Count of fund-moving operations (lock/settle/refund/transfer,
   /// including the batched *_n forms) applied since construction. A cheap
   /// change stamp: two snapshots with equal generation saw no mutation in
-  /// between, so any derived per-channel quantity is still valid. The
-  /// engine's dirty-channel list (Engine::mark_channel_dirty) is built on
-  /// the same mutation sites; incremental rate-control uses the list for
-  /// per-tick work and this counter for cross-mode validation (two runs
-  /// that executed identical mutation sequences end at equal generations).
+  /// between, so any derived per-channel quantity is still valid.
   [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
 
   /// Churn state: a closed channel refuses new locks at the engine level

@@ -1,5 +1,6 @@
 #include "placement/cost_model.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "graph/shortest_path.h"
@@ -28,7 +29,9 @@ void PlacementInstance::validate() const {
       throw std::invalid_argument("instance: epsilon cols");
     }
   }
-  if (omega < 0) throw std::invalid_argument("instance: omega < 0");
+  if (!std::isfinite(omega) || omega < 0) {
+    throw std::invalid_argument("instance: omega must be finite and >= 0");
+  }
 }
 
 PlacementInstance build_instance(const graph::Graph& graph,

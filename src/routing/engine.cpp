@@ -92,7 +92,6 @@ void Engine::handle_event(const sim::EngineEvent& event) {
       const pcn::Direction d = ch.direction_from(event.aux);
       const auto amount = static_cast<Amount>(event.a);
       ++metrics_.messages.ack_messages;
-      mark_channel_dirty(event.channel);
       if (event.kind == Kind::kSettleAck) {
         ch.settle(d, amount);
         // The receiving side gained spendable funds: opposite direction.
@@ -264,7 +263,6 @@ void Engine::apply_mutation(const pcn::MutationEvent& event) {
     case Kind::kChannelClose:
       if (channel_close_depth_[event.channel]++ == 0) {
         network_.channel(event.channel).set_closed(true);
-        mark_channel_dirty(event.channel);
         on_channel_close(event.channel);
       }
       break;
@@ -272,7 +270,6 @@ void Engine::apply_mutation(const pcn::MutationEvent& event) {
       if (channel_close_depth_[event.channel] > 0 &&
           --channel_close_depth_[event.channel] == 0) {
         network_.channel(event.channel).set_closed(false);
-        mark_channel_dirty(event.channel);
       }
       break;
     case Kind::kFeePolicy: {
@@ -282,7 +279,6 @@ void Engine::apply_mutation(const pcn::MutationEvent& event) {
       policy.fee_proportional = event.policy.fee_proportional;
       policy.min_htlc = event.policy.min_htlc;
       ch.set_policy(policy);
-      mark_channel_dirty(event.channel);
       break;
     }
     case Kind::kTimelock: {
@@ -290,7 +286,6 @@ void Engine::apply_mutation(const pcn::MutationEvent& event) {
       pcn::ChannelPolicy policy = ch.policy();
       policy.timelock = event.policy.timelock;
       ch.set_policy(policy);
-      mark_channel_dirty(event.channel);
       break;
     }
   }
@@ -553,7 +548,6 @@ void Engine::attempt_hop(TuId id) {
     return;
   }
   live.hop_locked[hop] = 1;
-  mark_channel_dirty(channel);
   ds.next_free = std::max(scheduler_.now(), ds.next_free) +
                  common::to_tokens(amount) / config_.process_rate_tokens_per_s;
   ++metrics_.messages.data_hops;
@@ -900,7 +894,6 @@ void Engine::flush_settlements(bool drain) {
     const ChannelId channel = channel_of(idx);
     const pcn::Direction d = direction_of(idx);
     auto& ch = network_.channel(channel);
-    if (p.settle_ops > 0 || p.refund_ops > 0) mark_channel_dirty(channel);
     if (p.settle_ops > 0) {
       ch.settle_n(d, p.settle_total, p.settle_ops);
       // The receiving side gained spendable funds: opposite direction.

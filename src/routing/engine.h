@@ -56,15 +56,6 @@ struct EngineConfig {
   /// Debug: after every queue mutation, re-derive each touched queue's
   /// value from its entries and throw on any drift (invariant test suite).
   bool validate_queues = false;
-  /// Debug/parity knob for the incremental rate-control tick. false
-  /// (default) lets rate routers skip provably-identity per-tick work
-  /// (dirty-channel price updates, memoized probe sums, sleeping pairs) —
-  /// bit-identical results, less wall time. true forces the legacy full
-  /// sweep over every channel and pair each tick; CI diffs the two modes'
-  /// outputs byte for byte. Benches honour SPLICER_FULL_RECOMPUTE=1 by
-  /// setting this (the env read lives in the bench layer — ambient state
-  /// never reaches src/).
-  bool full_recompute_ticks = false;
   /// Hostile-world scenario pack: fault injection, channel churn, per-edge
   /// fee/timelock policies (see pcn/scenario_mutator.h). All rates default
   /// to 0, in which case no mutator is built, no mutation event is ever
@@ -117,13 +108,15 @@ struct EngineMetrics {
   /// Value delivered by payments that nonetheless failed (partial
   /// deliveries observed at resolution time).
   Amount failed_delivered_value = 0;
-  /// Incremental rate-control tick work signals (0 for non-rate routers
-  /// and in full-recompute mode; the only metrics allowed to differ
-  /// between the two tick modes). Per-channel price updates skipped as
-  /// provable identities, path price sums reused unchanged, and the peak
-  /// number of pairs simultaneously awake in the probe sweep.
+  /// Always 0. The rate-control tick is one full sweep per tau, so no
+  /// price update is skipped, no probe sum is reused and no pair sleeps.
+  /// Kept only because the repository benchmark (perfbench/) still reads
+  /// these three fields; delete them together with its
+  /// `routing.rate.*` counters. Nothing in src/ writes them.
   std::uint64_t price_updates_skipped = 0;
+  /// Always 0; kept for perfbench/ (see price_updates_skipped).
   std::uint64_t probe_sums_reused = 0;
+  /// Always 0; kept for perfbench/ (see price_updates_skipped).
   std::size_t active_pairs_peak = 0;
   /// Hostile-world mutation events applied (0 in a benign run).
   std::uint64_t mutation_events = 0;
@@ -292,38 +285,6 @@ class Engine : private sim::EventSink {
   /// Queue depth in value for a directed channel (router congestion input).
   [[nodiscard]] Amount queue_amount(ChannelId channel, pcn::Direction d) const;
 
-  // ---- Dirty-channel feed (incremental rate-control ticks) -------------
-  // A rate router opts in at on_start; from then on every fund-moving
-  // channel mutation the engine performs (lock, settle/refund acks, the
-  // batched epoch flush — the inputs of price eqs. 21-22) appends the
-  // channel to the dirty list, deduplicated by a flag. The router drains
-  // the list once per protocol tick. Off by default so non-rate routers
-  // pay nothing and the list can never grow unconsumed.
-
-  /// Opt in (idempotent). Sizes the flag vector to the network.
-  void enable_dirty_channel_tracking() {
-    dirty_tracking_ = true;
-    channel_dirty_.assign(network_.channel_count(), 0);
-    dirty_channels_.clear();
-  }
-  /// Appends `channel` to the dirty list (no-op when tracking is off or
-  /// the channel is already listed). Hot path: one flag load on every
-  /// channel mutation.
-  void mark_channel_dirty(ChannelId channel) {
-    if (!dirty_tracking_ || channel_dirty_[channel] != 0) return;
-    channel_dirty_[channel] = 1;
-    dirty_channels_.push_back(channel);
-  }
-  /// Channels mutated since the last clear, in first-mutation order (a
-  /// deterministic function of the event stream).
-  [[nodiscard]] const std::vector<ChannelId>& dirty_channels() const noexcept {
-    return dirty_channels_;
-  }
-  void clear_dirty_channels() {
-    for (const ChannelId c : dirty_channels_) channel_dirty_[c] = 0;
-    dirty_channels_.clear();
-  }
-
  private:
   struct LiveTu {
     TransactionUnit tu;
@@ -484,11 +445,6 @@ class Engine : private sim::EventSink {
   common::DenseIdMap<PaymentState> states_;
   common::DenseIdMap<LiveTu> live_;
   std::vector<DirectedState> directed_;
-  // Dirty-channel feed (see the router-facing section): flag per channel
-  // plus the drain list, populated only after enable_dirty_channel_tracking.
-  std::vector<char> channel_dirty_;
-  std::vector<ChannelId> dirty_channels_;
-  bool dirty_tracking_ = false;
   SettlementBatcher batcher_;
   // Hostile-world mutation state: the mutator streams, one staged event
   // per mutator, and per-target depth counters for overlapping faults.

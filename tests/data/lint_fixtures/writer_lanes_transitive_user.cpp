@@ -1,20 +1,20 @@
 // writer-lanes-transitive fixture (user half): calling a non-sanctioned
-// helper that writes active_pairs_ makes this caller a writer — flagged at
-// the call site even though this file never names active_pairs_ at all.
-// on_timer() is the legal crossing, and the annotated call pins a reasoned
-// exception. Pinned by LintInterproc.WriterLanesTransitive*.
-struct RateRouterBase;
+// helper that writes staged_mutations_ makes this caller a writer — flagged
+// at the call site even though this file never names staged_mutations_.
+// run_window() is the legal crossing, and the annotated call pins a
+// reasoned exception. Pinned by LintInterproc.WriterLanesTransitive*.
+struct Engine;
 
-void bad_reset(RateRouterBase& router) {
-  router.clear_active(3);
+void bad_reset(Engine& engine) {
+  engine.drop_staged(3);
 }
 
-void good_tick(RateRouterBase& router) {
-  router.on_timer(3);
+void good_run(Engine& engine) {
+  engine.run_window(3);
 }
 
-void excused_reset(RateRouterBase& router) {
+void excused_reset(Engine& engine) {
   // SPLICER_LINT_ALLOW(writer-lanes-transitive): test-only teardown; the
   // simulation is single-threaded here and no concurrent writer exists.
-  router.clear_active(4);
+  engine.drop_staged(4);
 }

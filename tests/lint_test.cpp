@@ -139,16 +139,6 @@ TEST(LintSlabAlias, ScopedToRoutingDir) {
   EXPECT_TRUE(lint_source("src/common/fixture.cpp", src).empty());
 }
 
-TEST(LintWriterLanes, FlagsRateRouterActiveSetOutsideOwner) {
-  const std::string src = read_fixture("active_list.cpp");
-  const auto findings = lint_source("src/routing/fixture.cpp", src);
-  const std::vector<LineRule> expected = {{7, "writer-lanes"},
-                                          {8, "writer-lanes"},
-                                          {9, "writer-lanes"},
-                                          {10, "writer-lanes"}};
-  EXPECT_EQ(line_rules(findings), expected);
-}
-
 TEST(LintWriterLanes, FlagsMutationStateOutsideOwner) {
   const std::string src = read_fixture("mutation_lanes.cpp");
   const auto findings = lint_source("src/routing/fixture.cpp", src);
@@ -160,8 +150,8 @@ TEST(LintWriterLanes, FlagsMutationStateOutsideOwner) {
 }
 
 TEST(LintWriterLanes, OwningComponentIsExempt) {
-  EXPECT_TRUE(lint_source("src/routing/rate_protocol.cpp",
-                          "void f() { active_pairs_.clear(); }\n")
+  EXPECT_TRUE(lint_source("src/routing/engine.cpp",
+                          "void f() { mutators_.clear(); }\n")
                   .empty());
   EXPECT_TRUE(lint_source("src/routing/engine.cpp",
                           "void f() { staged_mutations_[0].reset(); }\n")
@@ -188,8 +178,8 @@ TEST(LintClean, CleanFileHasNoFindings) {
 
 TEST(LintLiterals, BannedTokensInsideStringsAndCommentsDoNotMatch) {
   const std::string src =
-      "// rand() and active_pairs_ and std::function<void()> in a comment\n"
-      "const char* doc = \"getenv system_clock active_pairs_\";\n"
+      "// rand() and staged_mutations_ and std::function<void()> in a comment\n"
+      "const char* doc = \"getenv system_clock staged_mutations_\";\n"
       "const char* raw = R\"(std::unordered_map<int, int> ghost_;)\";\n";
   EXPECT_TRUE(lint_source("src/sim/fixture.cpp", src).empty());
 }
@@ -212,7 +202,7 @@ TEST(LintRepo, TreeIsClean) {
 
 TEST(LintScrubber, RawStringWithEncodingPrefixAndDelimiter) {
   const std::string src =
-      "const char* s = u8R\"delim(rand() active_pairs_ )quote\" still inside)delim\";"
+      "const char* s = u8R\"delim(rand() staged_mutations_ )quote\" still inside)delim\";"
       " int x = 0;\n";
   const auto lines = scrub_source(src);
   ASSERT_FALSE(lines.empty());
@@ -228,11 +218,11 @@ TEST(LintScrubber, UnterminatedRawStringAtEofScrubsToEnd) {
   const std::string src =
       "const char* s = R\"(never closed\n"
       "rand();\n"
-      "active_pairs_.clear();\n";
+      "staged_mutations_.clear();\n";
   const auto lines = scrub_source(src);
   ASSERT_GE(lines.size(), 3u);
   EXPECT_EQ(lines[1].code.find("rand"), std::string::npos);
-  EXPECT_EQ(lines[2].code.find("active_pairs_"), std::string::npos);
+  EXPECT_EQ(lines[2].code.find("staged_mutations_"), std::string::npos);
   EXPECT_TRUE(lint_source("src/sim/fixture.cpp", src).empty());
 }
 
@@ -413,16 +403,16 @@ TEST(LintInterproc, FloatOrderFlagsHelperReachedFromMergeHonorsAllow) {
 
 TEST(LintInterproc, WriterLanesTransitiveFlagsCallSiteOutsideOwner) {
   const auto findings = lint_fixture_files(
-      {{"src/routing/rate_protocol.cpp", "writer_lanes_transitive_owner.cpp"},
-       {"src/routing/rate_user.cpp", "writer_lanes_transitive_user.cpp"}});
-  // bad_reset's call is flagged even though rate_user.cpp never names
-  // active_pairs_ (the token rule is blind here); good_tick goes through
+      {{"src/routing/engine.cpp", "writer_lanes_transitive_owner.cpp"},
+       {"src/routing/engine_user.cpp", "writer_lanes_transitive_user.cpp"}});
+  // bad_reset's call is flagged even though engine_user.cpp never names
+  // staged_mutations_ (the token rule is blind here); good_run goes through
   // the sanctioned API and excused_reset carries a reasoned allow.
   ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].file, "src/routing/rate_user.cpp");
+  EXPECT_EQ(findings[0].file, "src/routing/engine_user.cpp");
   EXPECT_EQ(findings[0].line, 9);
   EXPECT_EQ(findings[0].rule, "writer-lanes-transitive");
-  EXPECT_NE(findings[0].message.find("RateRouterBase::clear_active"),
+  EXPECT_NE(findings[0].message.find("Engine::drop_staged"),
             std::string::npos);
 }
 

@@ -49,9 +49,6 @@ void expect_identical(const EngineMetrics& a, const EngineMetrics& b) {
   EXPECT_EQ(a.states_evicted, b.states_evicted);
   EXPECT_EQ(a.tus_per_payment_stats.sum(), b.tus_per_payment_stats.sum());
   EXPECT_EQ(a.failed_delivered_value, b.failed_delivered_value);
-  EXPECT_EQ(a.price_updates_skipped, b.price_updates_skipped);
-  EXPECT_EQ(a.probe_sums_reused, b.probe_sums_reused);
-  EXPECT_EQ(a.active_pairs_peak, b.active_pairs_peak);
   EXPECT_EQ(a.mutation_events, b.mutation_events);
   EXPECT_EQ(a.resident_tus_at_end, b.resident_tus_at_end);
   EXPECT_EQ(a.wedged_queue_value, b.wedged_queue_value);

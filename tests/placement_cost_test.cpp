@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/generators.h"
 #include "placement/assignment.h"
 #include "submodular/checks.h"
@@ -167,6 +169,18 @@ TEST(InstanceValidation, CatchesShapeErrors) {
   instance.delta = {{0, 0}, {0, 0}};
   instance.epsilon = {{0, 0}, {0, 0}};
   EXPECT_THROW(instance.validate(), std::invalid_argument);
+}
+
+TEST(InstanceValidation, RejectsNegativeAndNonFiniteOmega) {
+  graph::Graph g(5);
+  for (graph::NodeId i = 0; i + 1 < 5; ++i) g.add_edge(i, i + 1);
+  EXPECT_NO_THROW((void)build_instance(g, {1, 3}, 0.0));
+  for (const double omega : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)build_instance(g, {1, 3}, omega), std::invalid_argument)
+        << omega;
+  }
 }
 
 }  // namespace

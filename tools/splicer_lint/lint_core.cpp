@@ -44,8 +44,8 @@ const std::vector<RuleInfo>& rule_table() {
        "no retained reference into Engine slab state across a relocation "
        "point (send_tu/fail_payment); no send_tu from on_tu_forwarded"},
       {"writer-lanes", "src/",
-       "single-writer state (rate-router active sets, engine mutation "
-       "state) is mutated only inside its owning component"},
+       "single-writer state (Engine hostile-world mutation state) is "
+       "mutated only inside its owning component"},
       {"writer-lanes-transitive", "src/ (call graph)",
        "single-writer ownership propagates through calls: helpers that "
        "write owned state make their callers writers; only the sanctioned "
@@ -577,9 +577,6 @@ void check_writer_lanes(std::string_view path,
     const char* owner_b;
   };
   static const Owned kOwned[] = {
-      {R"(\b(active_pairs_|active_channels_|sleep_subs_|wake_heap_)\b)",
-       "rate-router active-set scheduling state",
-       "src/routing/rate_protocol.h", "src/routing/rate_protocol.cpp"},
       {R"(\b(staged_mutations_|mutators_|node_down_depth_|channel_close_depth_)\b)",
        "Engine hostile-world mutation state",
        "src/routing/engine.h", "src/routing/engine.cpp"},

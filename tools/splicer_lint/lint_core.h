@@ -41,9 +41,9 @@
 //                    (send_tu / fail_payment) in the same scope, and
 //                    send_tu must never be dispatched from inside
 //                    on_tu_forwarded (whose TU aliases the live_ slab).
-//   writer-lanes     single-writer state (rate-router active sets, Engine
-//                    hostile-world mutation state) is mutated only inside
-//                    its owning component's translation units.
+//   writer-lanes     single-writer state (Engine hostile-world mutation
+//                    state) is mutated only inside its owning component's
+//                    translation units.
 //
 // Call-graph rules (tree runs only — see rules_interproc.h for the
 // contracts): writer-lanes-transitive, hotpath-alloc, slab-alias-escape,

@@ -180,10 +180,10 @@ void check_writer_lanes_transitive(const CallGraph& graph,
     std::set<std::string> sanctioned;  // legal cross-component entry APIs
   };
   static const OwnedGroup kGroups[] = {
-      {R"(\b(active_pairs_|active_channels_|sleep_subs_|wake_heap_)\b)",
-       "rate-router active-set scheduling state", "src/routing/rate_protocol.h",
-       "src/routing/rate_protocol.cpp",
-       {"on_timer", "on_start", "run_protocol_tick"}},
+      {R"(\b(staged_mutations_|mutators_|node_down_depth_|channel_close_depth_)\b)",
+       "Engine hostile-world mutation state", "src/routing/engine.h",
+       "src/routing/engine.cpp",
+       {"run", "begin_run", "run_window", "handle_event"}},
   };
 
   const std::vector<FunctionDef>& funcs = graph.functions();

@@ -6,11 +6,12 @@
 // its callers through the graph:
 //
 //   writer-lanes-transitive  single-writer ownership propagates through
-//            the call graph: a helper that touches the rate-router active
-//            sets makes every caller a writer, and a caller outside the
-//            owning component is flagged at the call site. The owning
-//            component's sanctioned entry APIs (on_start / on_timer /
-//            run_protocol_tick) are the one legal crossing.
+//            the call graph: a helper that touches the Engine's
+//            hostile-world mutation state makes every caller a writer, and
+//            a caller outside the owning component is flagged at the call
+//            site. The Engine's run entry APIs (run / begin_run /
+//            run_window) and the scheduler's dispatch into it
+//            (handle_event) are the one legal crossing.
 //   hotpath-alloc  no new / make_unique / make_shared, no std container or
 //            std::string construction, and no reserve/resize in any
 //            function reachable from the hot event-loop entry points
