@@ -2,7 +2,7 @@
 // paper's Alg. 1 double greedy (deterministic + randomised) vs plain
 // greedy descent, across omegas, with oracle-call counts - the cost of
 // optimality at a glance. The per-omega and per-candidate-count solves are
-// independent, so both sweeps shard across the thread pool.
+// independent, so both sweeps fan out with sim::parallel_for.
 //
 // Usage: bench_ablation_placement [--threads N]
 
@@ -13,13 +13,13 @@
 #include "placement/approx_solver.h"
 #include "placement/cost_model.h"
 #include "placement/exhaustive_solver.h"
-#include "sim/thread_pool.h"
+#include "sim/parallel_for.h"
 
 using namespace splicer;
 
 int main(int argc, char** argv) {
   std::cout << "=== Ablation: placement solvers ===\n";
-  sim::ThreadPool pool(bench::thread_count(argc, argv));
+  const std::size_t threads = bench::thread_count(argc, argv);
   common::Rng rng(bench::base_seed());
   const auto g = graph::watts_strogatz(100, 8, 0.15, rng);
 
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   };
   const std::vector<double> omegas{0.02, 0.1, 0.5};
   std::vector<OmegaPoint> points(omegas.size());
-  pool.parallel_for(omegas.size(), [&](std::size_t i) {
+  sim::parallel_for(threads, omegas.size(), [&](std::size_t i) {
     const auto instance = placement::build_instance_by_degree(g, 14, omegas[i]);
     OmegaPoint& p = points[i];
     p.exact = placement::solve_exhaustive(instance);
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   const auto g_large = graph::watts_strogatz(2000, 8, 0.15, rng2);
   const std::vector<std::size_t> candidate_counts{10, 20, 40, 80};
   std::vector<placement::ApproxResult> scaling_points(candidate_counts.size());
-  pool.parallel_for(candidate_counts.size(), [&](std::size_t i) {
+  sim::parallel_for(threads, candidate_counts.size(), [&](std::size_t i) {
     const auto instance =
         placement::build_instance_by_degree(g_large, candidate_counts[i], 0.1);
     scaling_points[i] = placement::solve_approx(instance);

@@ -7,8 +7,8 @@
 //       with PCHs (iterating omega) vs without PCHs (source routing)
 //   (f) same at large scale
 //
-// The omega sweeps (independent placement solves) shard across a
-// ThreadPool; the routing panels fan out through the ParallelRunner.
+// The omega sweeps (independent placement solves) fan out with
+// sim::parallel_for; the routing panels through the ParallelRunner.
 //
 // Usage: bench_fig9_placement [--threads N]   (0 = all hardware threads)
 
@@ -20,7 +20,7 @@
 #include "placement/approx_solver.h"
 #include "placement/cost_model.h"
 #include "placement/exhaustive_solver.h"
-#include "sim/thread_pool.h"
+#include "sim/parallel_for.h"
 
 using namespace splicer;
 
@@ -29,13 +29,13 @@ namespace {
 const std::vector<double> kOmegas{0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.0};
 
 void panels_abc(const graph::Graph& g, std::size_t candidates,
-                sim::ThreadPool& pool) {
+                std::size_t threads) {
   struct OmegaPoint {
     placement::ExhaustiveResult exact;
     placement::ApproxResult approx;
   };
   std::vector<OmegaPoint> points(kOmegas.size());
-  pool.parallel_for(kOmegas.size(), [&](std::size_t i) {
+  sim::parallel_for(threads, kOmegas.size(), [&](std::size_t i) {
     const auto instance =
         placement::build_instance_by_degree(g, candidates, kOmegas[i]);
     points[i] = {placement::solve_exhaustive(instance),
@@ -78,11 +78,11 @@ void panels_abc(const graph::Graph& g, std::size_t candidates,
               hubs_table, "fig9c_hub_count_small");
 }
 
-void panel_d(sim::ThreadPool& pool) {
+void panel_d(std::size_t threads) {
   common::Rng rng(bench::base_seed());
   const auto g = graph::watts_strogatz(3000, 8, 0.15, rng);
   std::vector<std::size_t> hub_counts(kOmegas.size());
-  pool.parallel_for(kOmegas.size(), [&](std::size_t i) {
+  sim::parallel_for(threads, kOmegas.size(), [&](std::size_t i) {
     const auto instance = placement::build_instance_by_degree(g, 30, kOmegas[i]);
     hub_counts[i] = placement::solve_approx(instance).plan.hub_count();
   });
@@ -98,8 +98,7 @@ void panel_d(sim::ThreadPool& pool) {
 }
 
 void panels_ef(const char* label, routing::ScenarioConfig base,
-               const std::string& csv, sim::ThreadPool& pool,
-               routing::ParallelRunner& runner) {
+               const std::string& csv, routing::ParallelRunner& runner) {
   const std::vector<double> omegas{0.01, 0.04, 0.16, 0.64};
   std::vector<routing::ScenarioConfig> configs;
   for (const double omega : omegas) {
@@ -112,7 +111,8 @@ void panels_ef(const char* label, routing::ScenarioConfig base,
   // Prepare every evaluation point in parallel, keeping the scenarios so
   // the table can report the resulting hub counts.
   std::vector<std::optional<routing::Scenario>> slots(configs.size());
-  pool.parallel_for(configs.size(), [&](std::size_t i) {
+  const std::size_t threads = runner.config().threads;
+  sim::parallel_for(threads, configs.size(), [&](std::size_t i) {
     slots[i] = routing::prepare_scenario(configs[i]);
   });
   std::vector<routing::Scenario> with_pchs;
@@ -156,18 +156,17 @@ int main(int argc, char** argv) {
             << (bench::fast_mode() ? "(fast mode: quarter workload)\n" : "");
 
   const std::size_t threads = bench::thread_count(argc, argv);
-  sim::ThreadPool pool(threads);
   routing::ParallelRunner runner({threads, /*trials=*/1});
 
   common::Rng rng(bench::base_seed());
   const auto g_small = graph::watts_strogatz(100, 8, 0.15, rng);
-  panels_abc(g_small, 12, pool);
-  panel_d(pool);
+  panels_abc(g_small, 12, threads);
+  panel_d(threads);
   panels_ef("fig9(e) delay vs overhead, small scale", bench::small_scale_config(),
-            "fig9e_delay_overhead_small", pool, runner);
+            "fig9e_delay_overhead_small", runner);
   auto large = bench::large_scale_config();
   large.workload.payment_count = bench::scaled(2000);
   panels_ef("fig9(f) delay vs overhead, large scale", large,
-            "fig9f_delay_overhead_large", pool, runner);
+            "fig9f_delay_overhead_large", runner);
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "pcn/workload.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "pcn/traffic_source.h"
@@ -45,8 +46,10 @@ void WorkloadConfig::validate() const {
   if (!(imbalance >= 0.0 && imbalance <= 1.0)) {
     throw std::invalid_argument("WorkloadConfig: imbalance must be in [0, 1]");
   }
-  if (!(value_scale > 0.0)) {
-    throw std::invalid_argument("WorkloadConfig: value_scale must be > 0");
+  // An infinite scale would convert an infinite token value to Amount.
+  if (!(std::isfinite(value_scale) && value_scale > 0.0)) {
+    throw std::invalid_argument(
+        "WorkloadConfig: value_scale must be finite and > 0");
   }
   if (sender_zipf < 0.0 || receiver_zipf < 0.0) {
     throw std::invalid_argument("WorkloadConfig: zipf exponents must be >= 0");

@@ -5,11 +5,12 @@
 // The sequential harness (experiment.h) runs five schemes × many sweep
 // points × (optionally) many seeds strictly one after another. All of that
 // work is independent: a (scenario, trial, scheme) triple fully determines
-// one simulation. ParallelRunner fans those triples across a fixed-shard
-// ThreadPool and merges the per-shard metrics back in submission order, so
+// one simulation. ParallelRunner fans those triples out with
+// sim::parallel_for (threads claim the next index from a shared counter)
+// and merges the metrics back in index order, so
 //
 //   * the result for every (scenario, task, trial) lands at a fixed index —
-//     thread interleaving never changes what is reported where; and
+//     which thread ran it never changes what is reported where; and
 //   * every simulation derives its RNG seeds deterministically from
 //     (base seed, scenario index, scheme, trial) — an N-thread run is
 //     bit-identical to a 1-thread run of the same request.
@@ -73,7 +74,7 @@ class ParallelRunner {
  public:
   explicit ParallelRunner(ParallelRunnerConfig config = {});
 
-  /// Runs every (scenario × trial × task) simulation across the pool.
+  /// Runs every (scenario × trial × task) simulation across `threads`.
   /// Phase 1 prepares each (scenario, trial) once — a prepared Scenario is
   /// shared read-only by all scheme tasks, so every scheme still sees the
   /// identical topology/placement/workload (the paper's comparison setup).

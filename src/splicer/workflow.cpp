@@ -31,6 +31,9 @@ std::vector<pcn::Amount> PaymentWorkflow::split_into_tus(pcn::Amount value) cons
 }
 
 WorkflowResult PaymentWorkflow::execute(const PaymentDemand& demand) {
+  if (demand.value <= 0) {
+    throw std::invalid_argument("PaymentWorkflow: demand value must be > 0");
+  }
   WorkflowResult result;
   result.tid = next_tid_++;
   auto step = [&result](std::string line) {

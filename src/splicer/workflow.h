@@ -49,7 +49,9 @@ class PaymentWorkflow {
 
   /// Runs preparation + execution for `demand`. The returned result's
   /// `success` is false if any decryption/authentication step failed
-  /// (which indicates tampering; never happens in honest runs).
+  /// (which indicates tampering; never happens in honest runs). Throws
+  /// std::invalid_argument on a demand value <= 0: a transfer of nothing is
+  /// never a success.
   [[nodiscard]] WorkflowResult execute(const PaymentDemand& demand);
 
   /// Splits a demand value into TU values within [min_tu, max_tu] (the

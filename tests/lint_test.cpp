@@ -196,6 +196,25 @@ TEST(LintRepo, TreeIsClean) {
   }
 }
 
+std::vector<std::string> rendered(const std::vector<Finding>& findings) {
+  std::vector<std::string> out;
+  out.reserve(findings.size());
+  for (const Finding& f : findings) {
+    out.push_back(f.file + ":" + std::to_string(f.line) + ": [" + f.rule +
+                  "] " + f.message);
+  }
+  return out;
+}
+
+// Rules are scoped by the path from the repository root, not by how the
+// path is spelled: `../src` linted from a subdirectory (build/, say)
+// reports exactly what `src` reports from the root.
+TEST(LintRepo, SubdirectoryRunScopesLikeRootRun) {
+  const std::filesystem::path root = SPLICER_LINT_REPO_ROOT;
+  EXPECT_EQ(rendered(lint_tree(root / "tools", {"../src"})),
+            rendered(lint_tree(root, {"src"})));
+}
+
 // ---------------------------------------------------------------------------
 // Scrubber edge cases
 // ---------------------------------------------------------------------------
@@ -446,6 +465,17 @@ fs::path make_cli_tree(const std::string& name, const std::string& source) {
   fs::create_directories(root / "src" / "sim");
   std::ofstream(root / "src" / "sim" / "probe.cpp") << source;
   return root;
+}
+
+// A source archive has no .git; CMakeLists.txt beside src/ marks its root.
+TEST(LintPaths, ArchiveRootIsFoundFromASubdirectory) {
+  const fs::path root =
+      make_cli_tree("archive", "int f() { return rand(); }\n");
+  std::ofstream(root / "CMakeLists.txt") << "project(probe)\n";
+  fs::create_directories(root / "build");
+  const std::vector<std::string> from_root = rendered(lint_tree(root, {"src"}));
+  ASSERT_FALSE(from_root.empty());
+  EXPECT_EQ(rendered(lint_tree(root / "build", {"../src"})), from_root);
 }
 
 struct CliResult {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 
 #include "splicer/demand_codec.h"
 
@@ -83,6 +84,13 @@ TEST_F(WorkflowFixture, KmgIssuesOneKeyPerTidPlusPerTuid) {
   const auto result = workflow_.execute({1, 2, common::whole_tokens(10)});
   ASSERT_TRUE(result.success);
   EXPECT_EQ(kmg_.issued_count() - before, 1 + result.tu_count);
+}
+
+TEST_F(WorkflowFixture, NonPositiveValueIsRejected) {
+  // Splitting nothing yields zero TUs, which must never read as a success.
+  EXPECT_THROW((void)workflow_.execute({1, 2, 0}), std::invalid_argument);
+  EXPECT_THROW((void)workflow_.execute({1, 2, -common::whole_tokens(5)}),
+               std::invalid_argument);
 }
 
 TEST_F(WorkflowFixture, SplitCountMatchesCeiling) {

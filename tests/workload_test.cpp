@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "common/stats.h"
 
@@ -166,6 +167,11 @@ TEST(WorkloadConfig, ValidateRejectsBadKnobs) {
 
   config = WorkloadConfig{};
   config.value_scale = 0.0;
+  expect_invalid(config);
+  // Infinite token values have no Amount.
+  config.value_scale = std::numeric_limits<double>::infinity();
+  expect_invalid(config);
+  config.value_scale = std::numeric_limits<double>::quiet_NaN();
   expect_invalid(config);
 
   config = WorkloadConfig{};

@@ -42,9 +42,9 @@
 #     on, and the mutator + robustness suites re-run under ASan+UBSan.
 #
 # Concurrency gate: a ThreadSanitizer build runs the suites that exercise
-# the only threads in the tree — the fixed-shard thread pool and the
-# ParallelRunner fan-out across (scheme, trial) — so a data race there is
-# a hard CI error.
+# the only threads in the tree — sim::parallel_for and the ParallelRunner
+# fan-out across (scheme, trial) built on it — so a data race there is a
+# hard CI error.
 #
 # Usage: tools/ci.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -182,13 +182,13 @@ ctest --test-dir "$AUDIT_DIR" -L smoke --output-on-failure -j "$JOBS"
 echo "CI: churn-storm stress under SPLICER_AUDIT (dynamic witnesses on)"
 "$AUDIT_DIR/robustness_test" --gtest_filter='DeadlockUnderChurn.*'
 
-echo "CI: ThreadSanitizer thread-pool / parallel-runner smoke"
+echo "CI: ThreadSanitizer parallel_for / parallel-runner smoke"
 TSAN_DIR="$BUILD_DIR-tsan"
 cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSPLICER_SANITIZE=thread -DSPLICER_BUILD_BENCH=OFF
 cmake --build "$TSAN_DIR" -j "$JOBS" --target \
-  thread_pool_test parallel_experiment_test
+  parallel_for_test parallel_experiment_test
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -R 'thread_pool_test|parallel_experiment_test'
+  -R 'parallel_for_test|parallel_experiment_test'
 
 echo "CI: all green"

@@ -45,6 +45,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -375,7 +376,11 @@ int cmd_workflow(const Args& args) {
   common::Rng rng(args.u64("seed", 42));
   crypto::KeyManagementGroup kmg(args.u64("kmg", 5), rng.fork());
   core::PaymentWorkflow workflow(kmg, rng);
-  core::PaymentDemand demand{1, 2, common::tokens(args.real("value", 13.25))};
+  const double value = args.real("value", 13.25);
+  if (!(std::isfinite(value) && value > 0.0)) {
+    throw std::invalid_argument("value must be finite and > 0");
+  }
+  core::PaymentDemand demand{1, 2, common::tokens(value)};
   const auto result = workflow.execute(demand);
   for (const auto& line : result.trace) std::cout << line << "\n";
   std::cout << "TUs: " << result.tu_count << ", messages: " << result.messages

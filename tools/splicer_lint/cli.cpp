@@ -63,7 +63,7 @@ void dump_callgraph(const CallGraph& graph, std::ostream& out) {
 
 }  // namespace
 
-int run_cli(const std::filesystem::path& repo_root,
+int run_cli(const std::filesystem::path& cwd,
             const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err) {
   bool error_on_findings = false;
@@ -114,10 +114,10 @@ int run_cli(const std::filesystem::path& repo_root,
 
   try {
     if (dump_graph) {
-      dump_callgraph(CallGraph::build(load_tree(repo_root, roots)), out);
+      dump_callgraph(CallGraph::build(load_tree(cwd, roots)), out);
       return kExitClean;
     }
-    const std::vector<Finding> findings = lint_tree(repo_root, roots);
+    const std::vector<Finding> findings = lint_tree(cwd, roots);
     if (format == "json") {
       out << to_json(findings);
     } else if (format == "sarif") {

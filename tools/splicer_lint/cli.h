@@ -21,10 +21,10 @@ inline constexpr int kExitClean = 0;
 inline constexpr int kExitFindings = 1;
 inline constexpr int kExitUsage = 2;
 
-/// Runs the CLI against `repo_root` (paths in `args` are relative to it).
-/// `args` excludes argv[0]. Findings/reports go to `out`, diagnostics and
-/// usage to `err`. Returns the process exit code.
-[[nodiscard]] int run_cli(const std::filesystem::path& repo_root,
+/// Runs the CLI with paths in `args` relative to `cwd` (see load_tree for
+/// how they are scoped). `args` excludes argv[0]. Findings/reports go to
+/// `out`, diagnostics and usage to `err`. Returns the process exit code.
+[[nodiscard]] int run_cli(const std::filesystem::path& cwd,
                           const std::vector<std::string>& args,
                           std::ostream& out, std::ostream& err);
 

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "splicer_lint/call_graph.h"
 #include "splicer_lint/rules_interproc.h"
@@ -37,9 +38,9 @@ const std::vector<RuleInfo>& rule_table() {
        "no range-for/.begin() iteration over unordered containers unless "
        "annotated or rewritten over ordered/sorted containers"},
       {"std-function", "src/",
-       "common::SmallFunction instead of std::function; the one exception, "
-       "the offline placement oracle (submodular::SetFunction), is "
-       "annotated in-source"},
+       "a template parameter or a typed scheduler event instead of "
+       "std::function; the one exception, the offline placement oracle "
+       "(submodular::SetFunction), is annotated in-source"},
       {"slab-alias", "src/routing",
        "no retained reference into Engine slab state across a relocation "
        "point (send_tu/fail_payment); no send_tu from on_tu_forwarded"},
@@ -422,8 +423,8 @@ void check_std_function(std::string_view path,
     if (std::regex_search(lines[i].code, kStdFunction)) {
       add(out, path, static_cast<int>(i) + 1, "std-function",
           "std::function in src/: heap-allocating type erasure is banned on "
-          "simulation paths — use common::SmallFunction (or a typed "
-          "scheduler event), or annotate code that never runs during a "
+          "simulation paths — take a template parameter (or schedule a "
+          "typed event), or annotate code that never runs during a "
           "simulation with SPLICER_LINT_ALLOW(std-function): <reason>");
     }
   }
@@ -787,6 +788,23 @@ bool skip_dir(const std::filesystem::path& p) {
          name.compare(0, 5, "build") == 0 || name == "data";
 }
 
+// The repository a linted path belongs to: its nearest ancestor holding a
+// .git entry, or a CMakeLists.txt beside a src/ directory (a source archive
+// has no .git). Rule scopes are spelled from there ("src/sim/..."), whatever
+// directory the linter runs in; without either marker `fallback` stands in.
+std::filesystem::path repository_root(const std::filesystem::path& path,
+                                      const std::filesystem::path& fallback) {
+  namespace fs = std::filesystem;
+  for (fs::path dir = path;; dir = dir.parent_path()) {
+    if (fs::exists(dir / ".git") ||
+        (fs::is_regular_file(dir / "CMakeLists.txt") &&
+         fs::is_directory(dir / "src"))) {
+      return dir;
+    }
+    if (dir == dir.parent_path()) return fallback;
+  }
+}
+
 std::string read_file(const std::filesystem::path& p) {
   std::ifstream in(p, std::ios::binary);
   if (!in) {
@@ -822,14 +840,16 @@ std::string json_escape(std::string_view s) {
 
 }  // namespace
 
-std::vector<FileContent> load_tree(const std::filesystem::path& repo_root,
+std::vector<FileContent> load_tree(const std::filesystem::path& cwd,
                                    const std::vector<std::string>& roots) {
   namespace fs = std::filesystem;
-  std::vector<fs::path> paths;
+  // (file, repository root it is scoped against)
+  std::vector<std::pair<fs::path, fs::path>> paths;
   for (const std::string& root : roots) {
-    const fs::path abs = repo_root / root;
+    const fs::path abs = fs::weakly_canonical(cwd / root);
+    const fs::path repo = repository_root(abs, cwd);
     if (fs::is_regular_file(abs)) {
-      if (lintable_extension(abs)) paths.push_back(abs);
+      if (lintable_extension(abs)) paths.emplace_back(abs, repo);
       continue;
     }
     if (!fs::is_directory(abs)) {
@@ -843,7 +863,7 @@ std::vector<FileContent> load_tree(const std::filesystem::path& repo_root,
         continue;
       }
       if (it->is_regular_file() && lintable_extension(it->path())) {
-        paths.push_back(it->path());
+        paths.emplace_back(it->path(), repo);
       }
     }
   }
@@ -852,16 +872,16 @@ std::vector<FileContent> load_tree(const std::filesystem::path& repo_root,
 
   std::vector<FileContent> files;
   files.reserve(paths.size());
-  for (const fs::path& p : paths) {
-    files.push_back(FileContent{fs::relative(p, repo_root).generic_string(),
-                                read_file(p)});
+  for (const auto& [p, repo] : paths) {
+    files.push_back(
+        FileContent{fs::relative(p, repo).generic_string(), read_file(p)});
   }
   return files;
 }
 
-std::vector<Finding> lint_tree(const std::filesystem::path& repo_root,
+std::vector<Finding> lint_tree(const std::filesystem::path& cwd,
                                const std::vector<std::string>& roots) {
-  return lint_files(load_tree(repo_root, roots));
+  return lint_files(load_tree(cwd, roots));
 }
 
 std::string to_json(const std::vector<Finding>& findings) {

@@ -31,10 +31,11 @@
 //   unordered-iter   range-for / .begin() iteration over an unordered
 //                    container in those dirs must be annotated or rewritten
 //                    over an ordered/sorted container.
-//   std-function     std::function is banned in src/ (SBO-free type
-//                    erasure heap-allocates on the hot path); use
-//                    common::SmallFunction, or annotate code that never
-//                    runs during a simulation (the placement oracle).
+//   std-function     std::function is banned in src/ (its type erasure
+//                    heap-allocates on the hot path); take a template
+//                    parameter or schedule a typed event, or annotate code
+//                    that never runs during a simulation (the placement
+//                    oracle).
 //   slab-alias       a reference/pointer bound to Engine slab state
 //                    (find_payment_state / payment_state)
 //                    must not be used after a slab relocation point
@@ -150,12 +151,14 @@ struct FileContent {
 };
 
 /// Loads every lintable file (.h/.hpp/.cpp/.cc/.cxx) under each root (a
-/// file or directory relative to `repo_root`) into memory, repo-relative
-/// paths with forward slashes, sorted. Hidden directories, anything named
-/// build*, and data dirs are skipped. Throws on a missing root or an
-/// unreadable file.
+/// file or directory relative to `cwd`) into memory, sorted, each path
+/// relative to the repository holding it (nearest ancestor with .git, or
+/// with CMakeLists.txt beside src/; `cwd` if none) with forward slashes, so
+/// `../src` linted from build/ scopes exactly like `src` from the root.
+/// Hidden directories, anything named build*, and data dirs are skipped.
+/// Throws on a missing root or an unreadable file.
 [[nodiscard]] std::vector<FileContent> load_tree(
-    const std::filesystem::path& repo_root,
+    const std::filesystem::path& cwd,
     const std::vector<std::string>& roots);
 
 /// The full two-phase analysis over a set of in-memory sources: file-local
@@ -165,12 +168,10 @@ struct FileContent {
 [[nodiscard]] std::vector<Finding> lint_files(
     const std::vector<FileContent>& files);
 
-/// Recursively lints every .h/.hpp/.cpp/.cc/.cxx under each root (a file or
-/// directory, relative to `repo_root`) through lint_files. Hidden
-/// directories, anything named build*, and tests/data are skipped.
+/// Lints every file load_tree(cwd, roots) loads through lint_files.
 /// Findings are sorted by (file, line).
 [[nodiscard]] std::vector<Finding> lint_tree(
-    const std::filesystem::path& repo_root,
+    const std::filesystem::path& cwd,
     const std::vector<std::string>& roots);
 
 // ---------------------------------------------------------------------------

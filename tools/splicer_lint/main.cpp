@@ -3,9 +3,11 @@
 //   splicer_lint [--error-on-findings] [--format text|json|sarif]
 //                [--dump-callgraph] [--list-rules] <path>...
 //
-// Paths are files or directories relative to the current working directory
-// (CI invokes it from the repo root: `splicer_lint --error-on-findings src
-// tools bench examples`).
+// Paths are files or directories relative to the current working directory;
+// rules are scoped by each file's path from the repository root, so
+// `splicer_lint ../src` from build/ reports what `splicer_lint src` reports
+// from the root (CI: `splicer_lint --error-on-findings src tools bench
+// examples` from the root).
 //
 // Exit status (pinned by tests/lint_test.cpp, relied on by tools/ci.sh):
 //   0  clean tree, or findings reported without --error-on-findings, or a
