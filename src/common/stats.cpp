@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace splicer::common {
 
@@ -97,50 +97,5 @@ double percentile(std::vector<double> values, double q) {
 }
 
 double median(std::vector<double> values) { return percentile(std::move(values), 0.5); }
-
-double mean_of(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double s = 0.0;
-  for (const double v : values) s += v;
-  return s / static_cast<double>(values.size());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  if (buckets == 0) throw std::invalid_argument("Histogram needs >= 1 bucket");
-  if (!(lo < hi)) throw std::invalid_argument("Histogram needs lo < hi");
-}
-
-void Histogram::add(double x) noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const noexcept {
-  return bucket_lo(i + 1);
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    out << "[" << bucket_lo(i) << ", " << bucket_hi(i) << ") "
-        << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return out.str();
-}
 
 }  // namespace splicer::common

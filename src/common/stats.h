@@ -1,12 +1,10 @@
 #pragma once
 
-// Small statistics toolkit used by the evaluation harness: running moments,
-// order statistics, and fixed-width histograms.
+// Small statistics toolkit used by the evaluation harness: running moments
+// and order statistics.
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace splicer::common {
@@ -54,31 +52,5 @@ class RunningStats {
 
 /// Median convenience wrapper.
 [[nodiscard]] double median(std::vector<double> values);
-
-/// Arithmetic mean; 0 for empty input.
-[[nodiscard]] double mean_of(const std::vector<double>& values);
-
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-/// edge buckets. Used for degree/fund distribution sanity reports.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bucket_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bucket_hi(std::size_t i) const noexcept;
-
-  /// Multi-line ASCII rendering (for example programs).
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 }  // namespace splicer::common

@@ -55,12 +55,6 @@ class Graph {
   /// The endpoint of `e` that is not `from`.
   [[nodiscard]] NodeId other_end(EdgeId e, NodeId from) const;
 
-  void set_weight(EdgeId e, double weight) {
-    edges_.at(e).weight = weight;
-    // Conservative: a differing write clears the uniform flag for good
-    // (restoring uniformity by rewriting every edge is not tracked).
-    if (weight != uniform_weight_) uniform_weight_ = 0.0;
-  }
   void set_capacity(EdgeId e, double capacity) { edges_.at(e).capacity = capacity; }
 
   /// The weight shared by every edge when all weights are equal and

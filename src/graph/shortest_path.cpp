@@ -271,25 +271,4 @@ std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
   return extract_path(g, scratch, src, dst);
 }
 
-std::vector<double> bellman_ford(const Graph& g, NodeId src) {
-  std::vector<double> dist(g.node_count(), kInf);
-  dist.at(src) = 0.0;
-  for (std::size_t round = 0; round + 1 < g.node_count(); ++round) {
-    bool changed = false;
-    for (EdgeId e = 0; e < g.edge_count(); ++e) {
-      const auto& rec = g.edge(e);
-      if (dist[rec.u] + rec.weight < dist[rec.v]) {
-        dist[rec.v] = dist[rec.u] + rec.weight;
-        changed = true;
-      }
-      if (dist[rec.v] + rec.weight < dist[rec.u]) {
-        dist[rec.u] = dist[rec.v] + rec.weight;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-  return dist;
-}
-
 }  // namespace splicer::graph

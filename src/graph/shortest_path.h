@@ -53,7 +53,4 @@ struct DijkstraResult {
                                                 NodeId dst,
                                                 const DijkstraOptions& options = {});
 
-/// Bellman-Ford distances (oracle for tests; O(n*m)).
-[[nodiscard]] std::vector<double> bellman_ford(const Graph& g, NodeId src);
-
 }  // namespace splicer::graph

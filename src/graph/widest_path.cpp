@@ -68,29 +68,4 @@ std::optional<Path> widest_path(const Graph& g, NodeId src, NodeId dst,
   return path;
 }
 
-namespace {
-void dfs_widest(const Graph& g, NodeId u, NodeId dst, double bottleneck,
-                std::vector<char>& visited, double& best) {
-  if (u == dst) {
-    best = std::max(best, bottleneck);
-    return;
-  }
-  for (const auto& half : g.neighbors(u)) {
-    if (visited[half.to]) continue;
-    visited[half.to] = 1;
-    dfs_widest(g, half.to, dst,
-               std::min(bottleneck, g.edge(half.edge).capacity), visited, best);
-    visited[half.to] = 0;
-  }
-}
-}  // namespace
-
-double brute_force_widest_bottleneck(const Graph& g, NodeId src, NodeId dst) {
-  std::vector<char> visited(g.node_count(), 0);
-  visited.at(src) = 1;
-  double best = -1.0;
-  dfs_widest(g, src, dst, kInf, visited, best);
-  return best;
-}
-
 }  // namespace splicer::graph

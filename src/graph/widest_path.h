@@ -24,9 +24,4 @@ struct WidestOptions {
                                               NodeId dst,
                                               const WidestOptions& options = {});
 
-/// Oracle for tests: brute-force widest bottleneck via DFS enumeration
-/// (exponential; only for tiny graphs).
-[[nodiscard]] double brute_force_widest_bottleneck(const Graph& g, NodeId src,
-                                                   NodeId dst);
-
 }  // namespace splicer::graph

@@ -25,7 +25,6 @@ bool Channel::lock(Direction d, Amount value) {
   if (balance < value) return false;
   balance -= value;
   locked_[dir_index(d)] += value;
-  ++generation_;
   return true;
 }
 
@@ -36,7 +35,6 @@ void Channel::settle(Direction d, Amount value) {
   }
   lock_pool -= value;
   balance_[dir_index(opposite(d))] += value;
-  ++generation_;
 }
 
 void Channel::refund(Direction d, Amount value) {
@@ -46,7 +44,6 @@ void Channel::refund(Direction d, Amount value) {
   }
   lock_pool -= value;
   balance_[dir_index(d)] += value;
-  ++generation_;
 }
 
 void Channel::settle_n(Direction d, Amount total, std::uint64_t count) {
@@ -64,16 +61,6 @@ void Channel::refund_n(Direction d, Amount total, std::uint64_t count) {
     throw std::invalid_argument("Channel::refund_n: total below count");
   }
   refund(d, total);
-}
-
-bool Channel::transfer(Direction d, Amount value) {
-  if (value <= 0) throw std::invalid_argument("Channel::transfer: value must be > 0");
-  auto& from = balance_[dir_index(d)];
-  if (from < value) return false;
-  from -= value;
-  balance_[dir_index(opposite(d))] += value;
-  ++generation_;
-  return true;
 }
 
 Amount Channel::imbalance() const noexcept {

@@ -81,18 +81,8 @@ class Channel {
   /// Applies `count` coalesced refunds totalling `total` in one move.
   void refund_n(Direction d, Amount total, std::uint64_t count);
 
-  /// Directly transfers spendable balance payer->payee (used for fees and
-  /// for instant settlement models). Returns false if insufficient.
-  [[nodiscard]] bool transfer(Direction d, Amount value);
-
   /// Imbalance |balance_ab - balance_ba| (diagnostics / rebalancing tests).
   [[nodiscard]] Amount imbalance() const noexcept;
-
-  /// Count of fund-moving operations (lock/settle/refund/transfer,
-  /// including the batched *_n forms) applied since construction. A cheap
-  /// change stamp: two snapshots with equal generation saw no mutation in
-  /// between, so any derived per-channel quantity is still valid.
-  [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
 
   /// Churn state: a closed channel refuses new locks at the engine level
   /// (attempt_hop fails the TU with kChannelClosed) while in-flight
@@ -110,7 +100,6 @@ class Channel {
   NodeId node_b_;
   Amount balance_[2];
   Amount locked_[2];
-  std::uint64_t generation_ = 0;
   bool closed_ = false;
   ChannelPolicy policy_{};
 };

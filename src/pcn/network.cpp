@@ -1,5 +1,6 @@
 #include "pcn/network.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "common/samplers.h"
@@ -24,6 +25,10 @@ Network::Network(graph::Graph topology, std::vector<Amount> funds_ab,
 
 Network Network::with_sampled_funds(graph::Graph topology, double fund_scale,
                                     common::Rng& rng) {
+  // A non-finite scale would convert a non-finite token value to Amount.
+  if (!(std::isfinite(fund_scale) && fund_scale >= 0.0)) {
+    throw std::invalid_argument("Network: fund_scale must be finite and >= 0");
+  }
   const auto sampler = common::make_channel_size_sampler();
   std::vector<Amount> ab(topology.edge_count());
   std::vector<Amount> ba(topology.edge_count());

@@ -23,7 +23,8 @@ class Network {
   /// Builds a network with per-side funds sampled from the paper's heavy-
   /// tailed channel-size distribution, multiplied by `fund_scale`
   /// (Fig. 7(a)/8(a) sweep). Also rewrites each edge's `capacity` to the
-  /// channel total so path selectors see consistent static data.
+  /// channel total so path selectors see consistent static data. Throws
+  /// std::invalid_argument unless `fund_scale` is finite and >= 0.
   static Network with_sampled_funds(graph::Graph topology, double fund_scale,
                                     common::Rng& rng);
 

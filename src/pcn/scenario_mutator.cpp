@@ -59,15 +59,7 @@ void HostileConfig::validate() const {
 PoissonMutator::PoissonMutator(double rate, double horizon, std::uint64_t seed)
     : rng_(seed), rate_(rate), horizon_(horizon) {
   if (rate_ <= 0) throw std::invalid_argument("PoissonMutator: rate must be > 0");
-  reset(seed);
-}
-
-void PoissonMutator::reset(std::uint64_t seed) {
-  rng_ = common::Rng(seed);
-  followups_.clear();
-  seq_ = 0;
   next_primary_ = rng_.exponential(rate_);
-  rebuild();
 }
 
 std::optional<MutationEvent> PoissonMutator::next() {

@@ -25,8 +25,8 @@
 //                         per-path timelock budget.
 //
 // Determinism contract (mirrors TrafficSource): next() emits events with
-// nondecreasing time; reset(seed) rewinds and re-derives all randomness
-// from `seed` — construct-or-reset with equal seeds yields equal streams.
+// nondecreasing time, and the stream is a pure function of the constructor
+// arguments — two mutators built with equal seeds yield equal streams.
 // Mutator randomness is seeded from HostileConfig::seed, never from the
 // engine's RNG, so enabling mutators perturbs no workload draw and the
 // stream is the same whatever the engine seed.
@@ -121,9 +121,6 @@ class ScenarioMutator {
   /// nondecreasing within one mutator's stream.
   [[nodiscard]] virtual std::optional<MutationEvent> next() = 0;
 
-  /// Rewinds to the first event, re-deriving randomness from `seed`.
-  virtual void reset(std::uint64_t seed) = 0;
-
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
@@ -136,7 +133,6 @@ class PoissonMutator : public ScenarioMutator {
   PoissonMutator(double rate, double horizon, std::uint64_t seed);
 
   [[nodiscard]] std::optional<MutationEvent> next() final;
-  void reset(std::uint64_t seed) final;
 
  protected:
   /// Fills `event` (kind/target/payload) for the primary event at `time`.
@@ -144,8 +140,6 @@ class PoissonMutator : public ScenarioMutator {
   virtual double fill_primary(MutationEvent& event) = 0;
   /// Fills the follow-up for a primary previously emitted on `target`.
   virtual void fill_followup(MutationEvent& event, std::uint64_t target) = 0;
-  /// Re-derives subclass state after rng_ was rewound.
-  virtual void rebuild() {}
 
   common::Rng rng_;
 

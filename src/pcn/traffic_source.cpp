@@ -54,8 +54,6 @@ std::optional<Payment> VectorSource::next() {
 
 std::size_t VectorSource::estimated_count() const { return view_->size(); }
 
-void VectorSource::reset(std::uint64_t /*seed*/) { cursor_ = 0; }
-
 // ---- SyntheticSource ------------------------------------------------------
 
 SyntheticSource::SyntheticSource(std::vector<NodeId> clients,
@@ -66,37 +64,23 @@ SyntheticSource::SyntheticSource(std::vector<NodeId> clients,
       value_sampler_(common::make_txn_value_sampler()),
       sender_sampler_(clients_.size(), config.sender_zipf),
       receiver_sampler_(clients_.size(), config.receiver_zipf),
+      sender_order_(clients_),
+      receiver_order_(clients_),
       arrivals_(synthetic_rate(config)) {
   if (clients_.size() < 2) {
     throw std::invalid_argument("SyntheticSource: need >= 2 clients");
   }
   config_.validate();
-  // Non-virtual on purpose: derived classes layer their own state in their
-  // constructors; virtual dispatch only matters on reset().
-  SyntheticSource::rebuild();
-}
-
-void SyntheticSource::rebuild() {
   // Distinct random popularity orders for senders and receivers, so the
   // hottest sender is generally not the hottest receiver. Draw order is
   // pinned by the fig7 byte-identity gate: sender shuffle, receiver
   // shuffle, then per payment sender / imbalance / receiver / value /
   // arrival (exactly the historical generate_payments()).
-  sender_order_ = clients_;
-  receiver_order_ = clients_;
   rng_.shuffle(sender_order_);
   rng_.shuffle(receiver_order_);
   sink_count_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(static_cast<double>(clients_.size()) *
                                   config_.sink_fraction));
-  arrivals_ = common::PoissonProcess(synthetic_rate(config_));
-  emitted_ = 0;
-  last_arrival_ = 0.0;
-}
-
-void SyntheticSource::reset(std::uint64_t seed) {
-  rng_ = common::Rng(seed);
-  rebuild();
 }
 
 NodeId SyntheticSource::distinct_receiver(NodeId sender, NodeId receiver) const {
@@ -185,11 +169,6 @@ HotspotShiftSource::HotspotShiftSource(std::vector<NodeId> clients,
                   : std::max<std::size_t>(1, clients_.size() / 4);
 }
 
-void HotspotShiftSource::rebuild() {
-  SyntheticSource::rebuild();
-  next_shift_at_ = config_.hotspot_shift_interval_s;
-}
-
 std::pair<NodeId, NodeId> HotspotShiftSource::draw_endpoints() {
   // Rotate the popularity ranks when the stream's clock (the previous
   // arrival) crosses a shift boundary: the Zipf samplers are unchanged,
@@ -226,12 +205,13 @@ TraceSource::TraceSource(std::string path, std::vector<NodeId> clients,
   Row row;
   double last_time = 0.0;
   double last_kept = 0.0;
+  bool have_time_base = false;
   bool any_kept = false;
   while (std::getline(scan, line)) {
     if (!parse_line(line, row)) continue;
-    if (!have_time_base_) {
+    if (!have_time_base) {
       time_base_ = row.time;
-      have_time_base_ = true;
+      have_time_base = true;
     }
     const double t = row.time - time_base_;
     if (t < last_time) {
@@ -254,7 +234,10 @@ TraceSource::TraceSource(std::string path, std::vector<NodeId> clients,
     any_kept = true;
   }
   if (any_kept) horizon_ = last_kept + config_.timeout_seconds;
-  rewind();
+  in_.open(path_);
+  if (!in_) {
+    throw std::invalid_argument("TraceSource: cannot open " + path_);
+  }
 }
 
 bool TraceSource::parse_line(const std::string& line, Row& row) const {
@@ -337,26 +320,11 @@ std::optional<Payment> TraceSource::next() {
     p.value = common::tokens(row.amount * config_.value_scale);
     p.value = std::max<Amount>(p.value, common::whole_tokens(1));
     p.arrival_time = t;
-    last_arrival_ = t;
     p.deadline = t + config_.timeout_seconds;
     return p;
   }
   return std::nullopt;
 }
-
-void TraceSource::rewind() {
-  in_ = std::ifstream(path_);
-  if (!in_) {
-    throw std::invalid_argument("TraceSource: cannot open " + path_);
-  }
-  remap_.clear();
-  next_client_ = 0;
-  last_arrival_ = 0.0;
-  next_id_ = 1;
-  skipped_ = 0;
-}
-
-void TraceSource::reset(std::uint64_t /*seed*/) { rewind(); }
 
 // ---- Factory --------------------------------------------------------------
 

@@ -23,9 +23,8 @@
 //                      staleness.
 //
 // Every source emits payments with non-decreasing arrival_time and ids
-// 1, 2, 3, ... in emission order; reset(seed) rewinds the source and
-// re-derives its randomness from `seed` (a source is deterministic:
-// construct-or-reset with equal seeds => equal payment streams).
+// 1, 2, 3, ... in emission order. A source is deterministic: two sources
+// built from equal arguments (RNG state included) emit equal streams.
 
 #include <cstdint>
 #include <fstream>
@@ -52,9 +51,6 @@ class TrafficSource {
   /// source knows it; a sizing hint, not a contract).
   [[nodiscard]] virtual std::size_t estimated_count() const = 0;
 
-  /// Rewinds to the first payment, re-deriving randomness from `seed`.
-  virtual void reset(std::uint64_t seed) = 0;
-
   /// Upper estimate of the last payment's deadline (arrival + timeout).
   /// Exact for vector/trace sources; config-derived for generative ones.
   /// Routers use it to bound their recurring price/probe ticks.
@@ -71,7 +67,6 @@ class VectorSource final : public TrafficSource {
 
   [[nodiscard]] std::optional<Payment> next() override;
   [[nodiscard]] std::size_t estimated_count() const override;
-  void reset(std::uint64_t seed) override;  // seed ignored: replay is fixed
   [[nodiscard]] double horizon_hint() const override { return horizon_; }
 
  private:
@@ -93,7 +88,6 @@ class SyntheticSource : public TrafficSource {
   [[nodiscard]] std::size_t estimated_count() const override {
     return config_.payment_count;
   }
-  void reset(std::uint64_t seed) override;
   [[nodiscard]] double horizon_hint() const override;
 
   /// RNG state after the draws so far (generate_payments uses this to keep
@@ -106,8 +100,6 @@ class SyntheticSource : public TrafficSource {
   [[nodiscard]] virtual std::pair<NodeId, NodeId> draw_endpoints();
   /// Next arrival timestamp (kBursty overrides with a thinned process).
   [[nodiscard]] virtual double draw_arrival();
-  /// Re-derives per-stream state after rng_ was rewound.
-  virtual void rebuild();
 
   [[nodiscard]] NodeId distinct_receiver(NodeId sender, NodeId receiver) const;
 
@@ -151,7 +143,6 @@ class HotspotShiftSource final : public SyntheticSource {
 
  protected:
   [[nodiscard]] std::pair<NodeId, NodeId> draw_endpoints() override;
-  void rebuild() override;
 
  private:
   double next_shift_at_ = 0.0;
@@ -175,7 +166,6 @@ class TraceSource final : public TrafficSource {
 
   [[nodiscard]] std::optional<Payment> next() override;
   [[nodiscard]] std::size_t estimated_count() const override { return rows_; }
-  void reset(std::uint64_t seed) override;  // seed ignored: replay is fixed
   [[nodiscard]] double horizon_hint() const override { return horizon_; }
 
   /// Rows dropped so far (malformed, unmappable endpoint, self-pay with a
@@ -191,7 +181,6 @@ class TraceSource final : public TrafficSource {
   };
   [[nodiscard]] bool parse_line(const std::string& line, Row& row) const;
   [[nodiscard]] std::optional<NodeId> map_endpoint(const std::string& label);
-  void rewind();
 
   std::string path_;
   std::vector<NodeId> clients_;
@@ -204,8 +193,6 @@ class TraceSource final : public TrafficSource {
   std::size_t rows_ = 0;         // replayable rows (pre-scan)
   double horizon_ = 0.0;         // last replayed deadline (pre-scan)
   double time_base_ = 0.0;       // first row's timestamp (shifted to 0)
-  bool have_time_base_ = false;
-  double last_arrival_ = 0.0;
   PaymentId next_id_ = 1;
   std::size_t skipped_ = 0;
 };

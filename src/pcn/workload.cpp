@@ -33,8 +33,9 @@ void WorkloadConfig::validate() const {
   if (kind != WorkloadKind::kTrace && payment_count == 0) {
     throw std::invalid_argument("WorkloadConfig: payment_count must be > 0");
   }
-  if (!(horizon_seconds > 0.0)) {
-    throw std::invalid_argument("WorkloadConfig: horizon_seconds must be > 0");
+  if (!(std::isfinite(horizon_seconds) && horizon_seconds > 0.0)) {
+    throw std::invalid_argument(
+        "WorkloadConfig: horizon_seconds must be finite and > 0");
   }
   if (!(timeout_seconds > 0.0)) {
     throw std::invalid_argument("WorkloadConfig: timeout_seconds must be > 0");

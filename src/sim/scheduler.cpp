@@ -130,11 +130,12 @@ bool Scheduler::step() {
   return true;
 }
 
-std::size_t Scheduler::run(Time until, std::size_t max_events) {
+std::size_t Scheduler::run(Time until) {
   std::size_t executed = 0;
-  while (executed < max_events && !heap_.empty()) {
+  while (!heap_.empty()) {
     if (heap_[0].when > until) break;
-    if (step()) ++executed;
+    step();
+    ++executed;
   }
   return executed;
 }

@@ -58,12 +58,11 @@ class Scheduler {
   /// Executes the next event; returns false if none remain.
   bool step();
 
-  /// Runs until the queue drains, `until` is passed, or `max_events` fire.
-  /// Returns the number of events executed.
-  std::size_t run(Time until = kForever, std::size_t max_events = kUnlimited);
+  /// Runs until the queue drains or `until` is passed. Returns the number
+  /// of events executed.
+  std::size_t run(Time until = kForever);
 
   static constexpr Time kForever = 1e100;
-  static constexpr std::size_t kUnlimited = ~std::size_t{0};
 
  private:
   static constexpr std::uint32_t kNullIndex = 0xffffffffu;

@@ -73,14 +73,6 @@ TEST(Channel, OverSettleThrows) {
   EXPECT_THROW(ch.refund(Direction::kForward, whole_tokens(3)), std::logic_error);
 }
 
-TEST(Channel, TransferDirect) {
-  Channel ch(0, 1, whole_tokens(5), whole_tokens(5));
-  ASSERT_TRUE(ch.transfer(Direction::kForward, whole_tokens(2)));
-  EXPECT_EQ(ch.available(Direction::kForward), whole_tokens(3));
-  EXPECT_EQ(ch.available(Direction::kBackward), whole_tokens(7));
-  EXPECT_FALSE(ch.transfer(Direction::kForward, whole_tokens(4)));
-}
-
 TEST(Channel, Imbalance) {
   Channel ch(0, 1, whole_tokens(8), whole_tokens(3));
   EXPECT_EQ(ch.imbalance(), whole_tokens(5));
@@ -94,7 +86,7 @@ TEST(Channel, ConstructionValidation) {
 TEST(Channel, NonPositiveAmountsRejected) {
   Channel ch(0, 1, whole_tokens(5), whole_tokens(5));
   EXPECT_THROW((void)ch.lock(Direction::kForward, 0), std::invalid_argument);
-  EXPECT_THROW((void)ch.transfer(Direction::kForward, -1), std::invalid_argument);
+  EXPECT_THROW((void)ch.lock(Direction::kForward, -1), std::invalid_argument);
 }
 
 TEST(Channel, BulkSettleMatchesIndividualSettles) {

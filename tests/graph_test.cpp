@@ -52,12 +52,10 @@ TEST(Graph, ParallelEdgesAllowed) {
   EXPECT_EQ(g.degree(0), 2u);
 }
 
-TEST(Graph, SetWeightAndCapacity) {
+TEST(Graph, SetCapacity) {
   Graph g(2);
   const EdgeId e = g.add_edge(0, 1);
-  g.set_weight(e, 5.0);
   g.set_capacity(e, 9.0);
-  EXPECT_EQ(g.edge(e).weight, 5.0);
   EXPECT_EQ(g.edge(e).capacity, 9.0);
 }
 

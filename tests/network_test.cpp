@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/stats.h"
 #include "graph/generators.h"
 
@@ -57,6 +60,24 @@ TEST(Network, FundScaleMultiplies) {
   EXPECT_NEAR(static_cast<double>(doubled.total_funds()),
               2.0 * static_cast<double>(base.total_funds()),
               static_cast<double>(base.total_funds()) * 0.01);
+}
+
+TEST(Network, FundScaleMustBeFiniteAndNonNegative) {
+  // Rejected before sampling, by name: a non-finite scale would reach the
+  // double -> Amount conversion, and a negative one a Channel with
+  // negative funds.
+  for (const double scale : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), -1.0}) {
+    common::Rng rng(3);
+    auto g = graph::watts_strogatz(20, 4, 0.15, rng);
+    try {
+      (void)Network::with_sampled_funds(std::move(g), scale, rng);
+      ADD_FAILURE() << "fund_scale " << scale << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("fund_scale"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Network, DirectionFromAndBalanceVectors) {

@@ -6,7 +6,7 @@
 
 #include "graph/generators.h"
 #include "placement/assignment.h"
-#include "submodular/checks.h"
+#include "support/submodular_checks.h"
 
 namespace splicer::placement {
 namespace {

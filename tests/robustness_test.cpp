@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/log.h"
 #include "routing/experiment.h"
 
 namespace splicer::routing {
@@ -208,16 +207,6 @@ TEST(DeadlockUnderChurn, ChurnFailuresCarryTheChannelClosedReason) {
     EXPECT_EQ(reason(FailReason::kNodeOffline), 0u) << to_string(scheme);
   }
   EXPECT_GT(closed_failures, 0u);
-}
-
-TEST(LogFacility, LevelsFilter) {
-  using namespace splicer::common;
-  const auto previous = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  log_line(LogLevel::kDebug, "should be dropped silently");
-  LogMessage(LogLevel::kInfo) << "also dropped " << 42;
-  set_log_level(previous);
 }
 
 }  // namespace

@@ -122,12 +122,13 @@ TEST(Scheduler, RunUntilStopsEarly) {
   EXPECT_EQ(s.pending(), 1u);
 }
 
-TEST(Scheduler, MaxEventsLimit) {
+TEST(Scheduler, StepFiresOneEventAtATime) {
   Scheduler s;
   RecordingSink sink(s);
   for (std::uint64_t i = 0; i < 10; ++i) s.at(static_cast<double>(i), tagged(i));
-  s.run(Scheduler::kForever, 4);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(s.step());
   EXPECT_EQ(sink.tags, (Tags{0, 1, 2, 3}));
+  EXPECT_EQ(s.pending(), 6u);
 }
 
 TEST(Scheduler, PendingCountsLiveEvents) {
@@ -328,7 +329,7 @@ TEST(Scheduler, DrainWithInterleavedCancelsIsDeterministic) {
       for (int i = 0; i < 10; ++i) {
         s.cancel(live[rng.index(live.size())]);
       }
-      s.run(Scheduler::kForever, 5);  // interleave partial drains
+      for (int i = 0; i < 5; ++i) s.step();  // interleave partial drains
     }
     s.run();
     return sink.tags;

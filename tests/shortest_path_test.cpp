@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "graph/generators.h"
+#include "support/graph_oracles.h"
 
 namespace splicer::graph {
 namespace {
@@ -98,9 +99,10 @@ class DijkstraPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DijkstraPropertyTest, MatchesBellmanFord) {
   common::Rng rng(GetParam());
-  Graph g = watts_strogatz(60, 6, 0.3, rng);
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    g.set_weight(e, rng.uniform(0.1, 10.0));
+  const Graph topology = watts_strogatz(60, 6, 0.3, rng);
+  Graph g(topology.node_count());
+  for (EdgeId e = 0; e < topology.edge_count(); ++e) {
+    g.add_edge(topology.edge(e).u, topology.edge(e).v, rng.uniform(0.1, 10.0));
   }
   const NodeId src = static_cast<NodeId>(rng.index(g.node_count()));
   const auto result = dijkstra(g, src);

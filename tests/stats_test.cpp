@@ -84,49 +84,6 @@ TEST(Percentile, OutOfRangeThrows) {
   EXPECT_THROW((void)percentile({1.0}, -0.1), std::invalid_argument);
 }
 
-TEST(MeanOf, Basics) {
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(mean_of({2.0, 4.0}), 3.0);
-}
-
-TEST(Histogram, CountsFallIntoBuckets) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(9.9);
-  EXPECT_EQ(h.bucket(0), 2u);  // [0,2)
-  EXPECT_EQ(h.bucket(4), 1u);  // [8,10)
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(100.0);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-}
-
-TEST(Histogram, BucketBounds) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(4), 10.0);
-}
-
-TEST(Histogram, InvalidConstructionThrows) {
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(5.0, 5.0, 3), std::invalid_argument);
-}
-
-TEST(Histogram, RenderMentionsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  const std::string text = h.render();
-  EXPECT_NE(text.find('#'), std::string::npos);
-}
-
 TEST(StudentT95, TableEntriesAreExact) {
   EXPECT_DOUBLE_EQ(student_t95(1), 12.706);
   EXPECT_DOUBLE_EQ(student_t95(10), 2.228);

@@ -1,10 +1,10 @@
-#include "submodular/checks.h"
 #include "submodular/double_greedy.h"
 #include "submodular/greedy_descent.h"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "support/submodular_checks.h"
 
 namespace splicer::submodular {
 namespace {

@@ -1,4 +1,4 @@
-#include "submodular/checks.h"
+#include "support/submodular_checks.h"
 
 #include <limits>
 #include <stdexcept>

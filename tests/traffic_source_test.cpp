@@ -87,20 +87,20 @@ TEST(SyntheticSource, GeneratePaymentsStillAdvancesCallerRng) {
   EXPECT_TRUE(any_diff);
 }
 
-TEST(SyntheticSource, ResetReproducesTheStream) {
+TEST(SyntheticSource, EqualSeedsReproduceTheStream) {
   WorkloadConfig config;
   config.payment_count = 300;
-  SyntheticSource source(make_clients(20), config, common::Rng(1));
-  source.reset(99);
-  const auto a = drain(source);
-  source.reset(99);
-  const auto b = drain(source);
+  const auto stream = [&](std::uint64_t seed) {
+    SyntheticSource source(make_clients(20), config, common::Rng(seed));
+    return drain(source);
+  };
+  const auto a = stream(99);
+  const auto b = stream(99);
   expect_same_payments(a, b);
   EXPECT_EQ(a.size(), 300u);
   expect_monotone(a);
 
-  source.reset(100);  // different seed, different stream
-  const auto c = drain(source);
+  const auto c = stream(100);  // different seed, different stream
   bool any_diff = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     any_diff = any_diff || a[i].value != c[i].value;
@@ -131,11 +131,9 @@ TEST(BurstySource, DeterministicMonotoneAndCountMatched) {
   const auto a = drain(source);
   EXPECT_EQ(a.size(), 2000u);
   expect_monotone(a);
-  source.reset(5);
-  // reset(5) re-derives from seed 5; a second reset must match it exactly.
-  const auto b = drain(source);
-  source.reset(5);
-  expect_same_payments(b, drain(source));
+  // A second source from the same seed emits exactly the same stream.
+  BurstySource twin(make_clients(25), config, common::Rng(5));
+  expect_same_payments(a, drain(twin));
 }
 
 TEST(BurstySource, ArrivalsFollowTheSinusoid) {
@@ -186,16 +184,15 @@ TEST(HotspotShiftSource, RotatesThePopularityRanks) {
   EXPECT_NE(top(first_half), top(second_half));
 }
 
-TEST(HotspotShiftSource, ResetReproducesTheStream) {
+TEST(HotspotShiftSource, EqualSeedsReproduceTheStream) {
   WorkloadConfig config;
   config.kind = WorkloadKind::kHotspot;
   config.payment_count = 500;
   config.hotspot_shift_interval_s = 3.0;
   HotspotShiftSource source(make_clients(12), config, common::Rng(23));
-  source.reset(23);
+  HotspotShiftSource twin(make_clients(12), config, common::Rng(23));
   const auto a = drain(source);
-  source.reset(23);
-  expect_same_payments(a, drain(source));
+  expect_same_payments(a, drain(twin));
   expect_monotone(a);
 }
 
@@ -309,7 +306,7 @@ TEST(TraceSource, ThrowsOnMissingFile) {
                std::invalid_argument);
 }
 
-TEST(TraceSource, ResetReplaysIdentically) {
+TEST(TraceSource, ReplaysIdentically) {
   TempTrace trace(
       "0.0,a,b,5\n"
       "0.5,b,c,7\n"
@@ -318,9 +315,10 @@ TEST(TraceSource, ResetReplaysIdentically) {
   config.kind = WorkloadKind::kTrace;
   config.trace_file = trace.path();
   TraceSource source(trace.path(), make_clients(3), config);
+  TraceSource twin(trace.path(), make_clients(3), config);
   const auto a = drain(source);
-  source.reset(0);
-  expect_same_payments(a, drain(source));
+  EXPECT_EQ(a.size(), 3u);
+  expect_same_payments(a, drain(twin));
 }
 
 TEST(TraceSource, MalformedRowsAreSkippedNotFatal) {
@@ -376,8 +374,7 @@ TEST(VectorSource, OwningCtorSortsByArrival) {
   EXPECT_EQ(sorted[0].id, 2u);
   EXPECT_EQ(sorted[1].id, 3u);
   EXPECT_EQ(sorted[2].id, 1u);
-  source.reset(0);
-  EXPECT_EQ(drain(source).size(), 3u);
+  EXPECT_FALSE(source.next().has_value());  // stays exhausted
 }
 
 TEST(VectorSource, ViewCtorRejectsUnsorted) {

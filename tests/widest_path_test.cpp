@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "graph/generators.h"
+#include "support/graph_oracles.h"
 
 namespace splicer::graph {
 namespace {

@@ -60,9 +60,13 @@ TEST(Workload, ValuesMatchCreditCardCalibration) {
   config.payment_count = 50000;
   const auto payments = generate_payments(make_clients(100), config, rng);
   std::vector<double> tokens;
-  for (const auto& p : payments) tokens.push_back(common::to_tokens(p.value));
+  common::RunningStats moments;
+  for (const auto& p : payments) {
+    tokens.push_back(common::to_tokens(p.value));
+    moments.add(tokens.back());
+  }
   EXPECT_NEAR(common::median(tokens), 22.0, 3.0);
-  EXPECT_NEAR(common::mean_of(tokens), 88.35, 10.0);
+  EXPECT_NEAR(moments.mean(), 88.35, 10.0);
 }
 
 TEST(Workload, ValueScaleApplies) {
@@ -153,6 +157,11 @@ TEST(WorkloadConfig, ValidateRejectsBadKnobs) {
   config.horizon_seconds = 0.0;
   expect_invalid(config);
   config.horizon_seconds = -2.0;
+  expect_invalid(config);
+  // An infinite horizon gives a zero Poisson rate.
+  config.horizon_seconds = std::numeric_limits<double>::infinity();
+  expect_invalid(config);
+  config.horizon_seconds = std::numeric_limits<double>::quiet_NaN();
   expect_invalid(config);
 
   config = WorkloadConfig{};

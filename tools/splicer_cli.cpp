@@ -44,6 +44,7 @@
 // reason and exits with status 2 too.
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -88,7 +89,10 @@ std::uint64_t parse_count(const std::string& key, const std::string& text) {
   char* end = nullptr;
   errno = 0;
   const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || *end != '\0' || errno == ERANGE) {
+  // strtoull negates a leading '-' instead of failing ("-1" would become
+  // 2^64 - 1), so a count must start with a digit.
+  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0 ||
+      *end != '\0' || errno == ERANGE) {
     throw UsageError("--" + key + ": '" + text + "' is not an integer");
   }
   return value;

@@ -13,9 +13,9 @@ void print_usage(std::ostream& err) {
   err << "usage: splicer_lint [options] <path>...\n"
          "\n"
          "Two-phase static analysis of the repo's determinism and\n"
-         "memory-safety contracts: per-file token rules plus call-graph\n"
-         "rules (writer-lanes-transitive, hotpath-alloc, slab-alias-escape,\n"
-         "float-order) over src/. Suppress a finding with\n"
+         "memory-safety contracts: per-file token rules plus tree rules\n"
+         "(call-graph hotpath-alloc, slab-alias-escape and float-order over\n"
+         "src/; orphan-src over the include graph). Suppress a finding with\n"
          "  // SPLICER_LINT_ALLOW(<rule-id>): <non-empty reason>\n"
          "on the offending line or the comment line directly above it;\n"
          "stale suppressions are findings themselves.\n"

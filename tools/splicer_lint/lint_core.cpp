@@ -44,13 +44,6 @@ const std::vector<RuleInfo>& rule_table() {
       {"slab-alias", "src/routing",
        "no retained reference into Engine slab state across a relocation "
        "point (send_tu/fail_payment); no send_tu from on_tu_forwarded"},
-      {"writer-lanes", "src/",
-       "single-writer state (Engine hostile-world mutation state) is "
-       "mutated only inside its owning component"},
-      {"writer-lanes-transitive", "src/ (call graph)",
-       "single-writer ownership propagates through calls: helpers that "
-       "write owned state make their callers writers; only the sanctioned "
-       "entry APIs cross the component boundary"},
       {"hotpath-alloc", "src/sim, src/routing, src/pcn (call graph)",
        "no allocation (new/make_unique/container or string construction/"
        "reserve/resize) reachable from Engine::handle_event, on_timer "
@@ -61,6 +54,9 @@ const std::vector<RuleInfo>& rule_table() {
       {"float-order", "src/ (call graph)",
        "floating accumulation in merge contexts (merge and its callees) is "
        "annotated with why summation order is deterministic"},
+      {"orphan-src", "src/ headers (tree runs)",
+       "every header is included by a file outside tests/ other than its "
+       "own .cpp; code only tests call belongs in tests/"},
       {"stale-allow", "everywhere linted",
        "a SPLICER_LINT_ALLOW whose rule no longer fires on its covered line "
        "is dead and must be removed (tree runs only)"},
@@ -568,40 +564,6 @@ void check_slab_alias(std::string_view path,
   }
 }
 
-void check_writer_lanes(std::string_view path,
-                        const std::vector<ScrubbedLine>& lines,
-                        std::vector<Finding>& out) {
-  struct Owned {
-    const char* pattern;
-    const char* what;
-    const char* owner_a;
-    const char* owner_b;
-  };
-  static const Owned kOwned[] = {
-      {R"(\b(staged_mutations_|mutators_|node_down_depth_|channel_close_depth_)\b)",
-       "Engine hostile-world mutation state",
-       "src/routing/engine.h", "src/routing/engine.cpp"},
-  };
-  static const std::vector<std::regex> kRes = [] {
-    std::vector<std::regex> res;
-    for (const auto& o : kOwned) res.emplace_back(o.pattern);
-    return res;
-  }();
-  for (std::size_t r = 0; r < std::size(kOwned); ++r) {
-    if (path == kOwned[r].owner_a || path == kOwned[r].owner_b) continue;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      if (std::regex_search(lines[i].code, kRes[r])) {
-        add(out, path, static_cast<int>(i) + 1, "writer-lanes",
-            std::string(kOwned[r].what) +
-                " referenced outside its owning component (" +
-                kOwned[r].owner_a +
-                "): this state has exactly one writer — go through the "
-                "owning component's API");
-      }
-    }
-  }
-}
-
 /// All file-local rule findings for one scrubbed source, unsuppressed.
 std::vector<Finding> token_findings(std::string_view virtual_path,
                                     const std::vector<ScrubbedLine>& lines,
@@ -615,12 +577,67 @@ std::vector<Finding> token_findings(std::string_view virtual_path,
   }
   if (path_in(virtual_path, kSrcDir)) {
     check_std_function(virtual_path, lines, raw);
-    check_writer_lanes(virtual_path, lines, raw);
   }
   if (path_in(virtual_path, kRoutingDir)) {
     check_slab_alias(virtual_path, lines, raw);
   }
   return raw;
+}
+
+// orphan-src: a src/ header that nothing outside tests/ includes, other than
+// its own .cpp, is code only tests call. Includes resolve against src/ (the
+// library's include root) or the including file's directory. The finding
+// sits on the header's first code line, so an allow on the comment line
+// above `#pragma once` covers it.
+std::vector<Finding> orphan_src_findings(
+    const std::vector<FileContent>& files,
+    const std::vector<std::vector<ScrubbedLine>>& scrubbed) {
+  static const std::regex kInclude(R"(#\s*include\s*["<]([^">]+)[">])");
+  std::map<std::string, std::set<std::string>> includers;  // header -> files
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    const std::string& by = files[f].path;
+    if (path_in(by, "tests/")) continue;
+    const std::string dir = by.substr(0, by.find_last_of('/') + 1);
+    std::istringstream raw(files[f].content);
+    std::string line;
+    for (std::size_t i = 0; std::getline(raw, line); ++i) {
+      std::smatch m;
+      if (i >= scrubbed[f].size() || !is_preprocessor(scrubbed[f][i].code) ||
+          !std::regex_search(line, m, kInclude)) {
+        continue;
+      }
+      includers[std::string(kSrcDir) + m[1].str()].insert(by);
+      includers[dir + m[1].str()].insert(by);
+    }
+  }
+  std::vector<Finding> out;
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    const std::string& path = files[f].path;
+    const std::size_t dot = path.find_last_of('.');
+    if (!path_in(path, kSrcDir) || dot == std::string::npos ||
+        (path.substr(dot) != ".h" && path.substr(dot) != ".hpp")) {
+      continue;
+    }
+    const auto it = includers.find(path);
+    if (it != includers.end() &&
+        it->second != std::set<std::string>{path.substr(0, dot) + ".cpp"}) {
+      continue;
+    }
+    const auto& lines = scrubbed[f];
+    const auto code_line = std::find_if(lines.begin(), lines.end(),
+        [](const ScrubbedLine& l) { return !blank(l.code); });
+    add(out, path,
+        code_line == lines.end()
+            ? 1
+            : static_cast<int>(code_line - lines.begin()) + 1,
+        "orphan-src",
+        "no linted file outside tests/ includes this header except its own "
+        ".cpp (lint src/ with its consumers: src tools bench examples): "
+        "code only tests call belongs in tests/ (an oracle in "
+        "tests/support/) or nowhere; annotate with "
+        "SPLICER_LINT_ALLOW(orphan-src): <why it must stay in src/>");
+  }
+  return out;
 }
 
 /// Applies allow suppression to raw findings and polices the annotations
@@ -740,27 +757,31 @@ std::vector<Finding> lint_files(const std::vector<FileContent>& files) {
                   options.extra_unordered_names.end()),
       options.extra_unordered_names.end());
 
-  // Phase 2: call graph + interprocedural rules over src/.
+  // Phase 2: call graph + interprocedural rules over src/, and the
+  // include-graph rule orphan-src over the whole set.
   const CallGraph graph = CallGraph::build(files);
   std::vector<ScrubbedSource> sources;
   sources.reserve(files.size());
   for (std::size_t i = 0; i < files.size(); ++i) {
     sources.push_back(ScrubbedSource{files[i].path, &scrubbed[i]});
   }
-  std::vector<Finding> interproc = interprocedural_findings(graph, sources);
+  std::vector<Finding> tree = interprocedural_findings(graph, sources);
+  for (Finding& f : orphan_src_findings(files, scrubbed)) {
+    tree.push_back(std::move(f));
+  }
 
-  // Per-file: token rules + this file's share of the graph findings, then
+  // Per-file: token rules + this file's share of the tree findings, then
   // allow suppression (uniform across both phases) + annotation policing.
-  std::map<std::string, std::vector<Finding>> interproc_by_file;
-  for (Finding& f : interproc) {
-    interproc_by_file[f.file].push_back(std::move(f));
+  std::map<std::string, std::vector<Finding>> tree_by_file;
+  for (Finding& f : tree) {
+    tree_by_file[f.file].push_back(std::move(f));
   }
   std::vector<Finding> out;
   for (std::size_t i = 0; i < files.size(); ++i) {
     std::vector<Finding> raw =
         token_findings(files[i].path, scrubbed[i], options);
-    if (auto it = interproc_by_file.find(files[i].path);
-        it != interproc_by_file.end()) {
+    if (auto it = tree_by_file.find(files[i].path);
+        it != tree_by_file.end()) {
       raw.insert(raw.end(), std::make_move_iterator(it->second.begin()),
                  std::make_move_iterator(it->second.end()));
     }

@@ -13,11 +13,12 @@
 //            file-local rules run over the scrubbed lines. A tree-wide
 //            sub-pass carries unordered-container member names from
 //            headers into their .cpp files.
-//   phase 2  repo-wide call-graph analysis (call_graph.h): a symbol index
-//            of function/method definitions over src/ with call sites
-//            resolved heuristically by name + enclosing-class scope, and
-//            graph-powered rules (rules_interproc.h) that track contract
-//            violations hiding one or more calls deep.
+//   phase 2  repo-wide tree analysis: a symbol index of function/method
+//            definitions over src/ with call sites resolved heuristically
+//            by name + enclosing-class scope (call_graph.h), graph-powered
+//            rules (rules_interproc.h) that track contract violations
+//            hiding one or more calls deep, and the include-graph rule
+//            orphan-src.
 //
 // File-local rules:
 //
@@ -42,13 +43,16 @@
 //                    (send_tu / fail_payment) in the same scope, and
 //                    send_tu must never be dispatched from inside
 //                    on_tu_forwarded (whose TU aliases the live_ slab).
-//   writer-lanes     single-writer state (Engine hostile-world mutation
-//                    state) is mutated only inside its owning component's
-//                    translation units.
 //
-// Call-graph rules (tree runs only — see rules_interproc.h for the
-// contracts): writer-lanes-transitive, hotpath-alloc, slab-alias-escape,
-// float-order.
+// Tree rules (tree runs only):
+//
+//   call graph       hotpath-alloc, slab-alias-escape, float-order (see
+//                    rules_interproc.h for the contracts).
+//   orphan-src       every src/ header is included by a linted file outside
+//                    tests/ other than its own .cpp — code that only tests
+//                    call belongs in tests/ (oracles in tests/support/).
+//                    Judged against the files in the run, so lint src/
+//                    together with its consumers (src tools bench examples).
 //
 // Suppression: a finding is allowed by a comment on the same line, or on a
 // comment-only line directly above the offending code, of the form

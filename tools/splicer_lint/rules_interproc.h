@@ -5,13 +5,6 @@
 // a contract violation hiding behind a helper function is attributed to
 // its callers through the graph:
 //
-//   writer-lanes-transitive  single-writer ownership propagates through
-//            the call graph: a helper that touches the Engine's
-//            hostile-world mutation state makes every caller a writer, and
-//            a caller outside the owning component is flagged at the call
-//            site. The Engine's run entry APIs (run / begin_run /
-//            run_window) and the scheduler's dispatch into it
-//            (handle_event) are the one legal crossing.
 //   hotpath-alloc  no new / make_unique / make_shared, no std container or
 //            std::string construction, and no reserve/resize in any
 //            function reachable from the hot event-loop entry points
@@ -45,7 +38,7 @@ struct ScrubbedSource {
   const std::vector<ScrubbedLine>* lines = nullptr;
 };
 
-/// Runs the four call-graph rules. Returned findings are raw (allow
+/// Runs the three call-graph rules. Returned findings are raw (allow
 /// suppression is applied by lint_files, uniformly with the token rules).
 [[nodiscard]] std::vector<Finding> interprocedural_findings(
     const CallGraph& graph, const std::vector<ScrubbedSource>& sources);
